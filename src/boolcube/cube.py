@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
+    "MAX_N",
     "PROB_FLOOR",
     "ProbabilityClampWarning",
     "ProductDistribution",
@@ -35,6 +36,10 @@ __all__ = [
 # Coordinate probabilities are clamped away from {0, 1}; at the boundary
 # sigma -> 0 and score terms blow up.
 PROB_FLOOR = 1e-6
+
+# Largest dimension whose 2^n truth tables and coefficient vectors the
+# library builds; larger ones are refused before anything is allocated.
+MAX_N = 16
 
 
 class ProbabilityClampWarning(UserWarning):

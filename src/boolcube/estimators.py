@@ -22,18 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .cube import (
     ProductDistribution,
-    SubsetIndex,
     correlated_sample,
     point_to_index,
     enumerate_points,
     sample,
     weights,
 )
-from .fourier import BooleanFunction, FourierExpansion, multilinear_gradient, transform
+from .fourier import (
+    BooleanFunction,
+    FourierExpansion,
+    inverse_transform,
+    multilinear_gradient,
+    transform,
+)
 from .operators import noise_exact, noise_mc
 from .rng import stream
 
@@ -158,8 +162,7 @@ class MeanTaylor:
         """From an expansion: at mu every phi vanishes, so the value is the
         empty-set coefficient and gradient_i is the degree-one coefficient
         over sigma_i."""
-        grad = np.array([e.coefficient(SubsetIndex.of([i])) / dist.sigma[i]
-                         for i in range(dist.n)])
+        grad = e.vector[1 << np.arange(dist.n)] / dist.sigma
         return cls(value=e.mean(), gradient=grad)
 
     @classmethod
@@ -349,6 +352,10 @@ def _resolve(cfg: EstimatorConfig, f: BooleanFunction,
         cfg.kind == "combined" and cfg.taylor_at_sample)
     if derivs is None and needs_derivs:
         derivs = derivative_tables(f)
+    elif isinstance(derivs, FourierExpansion) and needs_derivs:
+        # At +-1 points the multilinear gradient of an expansion is the
+        # half-difference of its own truth table.
+        derivs = derivative_tables(inverse_transform(derivs, dist))
     return g, taylor, derivs
 
 
@@ -513,6 +520,10 @@ def ema_mean_and_variance(z: np.ndarray, decay: float) -> tuple[np.ndarray, np.n
     d = float(decay)
     if not 0.0 <= d < 1.0:
         raise ValueError("decay must lie in [0, 1)")
+    # Imported here: scipy.signal is most of the package's import time,
+    # and only this filter needs it.
+    from scipy.signal import lfilter
+
     b, a = [1.0 - d], [1.0, -d]
     m, _ = lfilter(b, a, z, axis=0, zi=d * z[:1])
     innov2 = np.empty_like(z)

@@ -3,18 +3,21 @@
 The basis is phi_S(x) = prod_{i in S} (x_i - mu_i)/sigma_i, orthonormal
 under the given product distribution.  `transform` computes all 2^n
 coefficients by a butterfly pass per coordinate in O(n 2^n); the inverse
-runs the same recursion backwards.  Expansions are stored sparsely as
-{SubsetIndex: coefficient}.
+runs the same recursion backwards.  An expansion is one dense vector of
+2^n coefficients indexed by subset bitmask, the same index convention as
+truth tables, so every exact operation is an array pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .cube import (
+    MAX_N,
     ProductDistribution,
     SubsetIndex,
     enumerate_points,
@@ -35,9 +38,35 @@ __all__ = [
     "expansion_from_text",
 ]
 
-# Butterfly outputs below this magnitude are treated as exact zeros and
-# dropped from the sparse map.
+# Butterfly outputs below this magnitude are treated as exact zeros.
 COEFF_DROP = 1e-14
+
+
+def _check_dimension(n: int) -> int:
+    """Refuse a dimension whose 2^n arrays the library does not allocate."""
+    if n > MAX_N:
+        raise ValueError("dimension %d exceeds the supported maximum of %d"
+                         % (n, MAX_N))
+    return int(n)
+
+
+@lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    """|S| for every bitmask S < 2^n, read-only."""
+    out = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        out = np.concatenate([out, out + 1])
+    out.flags.writeable = False
+    return out
+
+
+def _basis(ph: np.ndarray) -> np.ndarray:
+    """prod_{i in m} ph[:, i] for every bitmask m < 2^k, one row per row
+    of the (rows, k) matrix ph."""
+    out = np.ones((ph.shape[0], 1))
+    for i in range(ph.shape[1]):
+        out = np.concatenate([out, out * ph[:, i, None]], axis=1)
+    return out
 
 
 class BooleanFunction:
@@ -55,7 +84,7 @@ class BooleanFunction:
             raise ValueError("dimension must be at least 1")
         if (table is None) == (func is None):
             raise ValueError("provide exactly one of table= or func=")
-        self.n = int(n)
+        self.n = _check_dimension(n)
         self.name = name
         self._func = func
         if table is not None:
@@ -117,74 +146,94 @@ class BooleanFunction:
         return "BooleanFunction(n=%d, %s%s)" % (self.n, kind, label)
 
 
-@dataclass
 class FourierExpansion:
-    """Sparse coefficient map of a function in the phi_S basis."""
+    """Coefficients of a function in the phi_S basis.
 
-    n: int
-    coeffs: dict[SubsetIndex, float] = field(default_factory=dict)
+    `vector` is a read-only float64 array of length 2^n whose entry m is
+    the coefficient of the subset with bitmask m; subsets without a
+    coefficient hold 0.  Construct from {SubsetIndex: coefficient}.
+    `coeffs`, `len` and `items_sorted` list the nonzero entries only.
+    """
 
-    def __post_init__(self):
-        for S in self.coeffs:
-            if not S.valid_for(self.n):
-                raise ValueError("subset %s out of range for n=%d" % (S, self.n))
+    def __init__(self, n: int, coeffs: Mapping[SubsetIndex, float] | None = None):
+        n = _check_dimension(n)
+        vector = np.zeros(1 << n)
+        for S, c in (coeffs or {}).items():
+            if not S.valid_for(n):
+                raise ValueError("subset %s out of range for n=%d" % (S, n))
+            vector[S.mask] = c
+        vector.flags.writeable = False
+        self.n = n
+        self.vector = vector
+
+    @classmethod
+    def _of_vector(cls, vector: np.ndarray) -> "FourierExpansion":
+        """Wrap a coefficient vector of length 2^n; the caller gives it up."""
+        e = cls.__new__(cls)
+        vector.flags.writeable = False
+        e.n = vector.shape[0].bit_length() - 1
+        e.vector = vector
+        return e
+
+    @property
+    def coeffs(self) -> Mapping[SubsetIndex, float]:
+        """Read-only {SubsetIndex: coefficient} of the nonzero entries,
+        in bitmask order, built anew on each access."""
+        nz = np.flatnonzero(self.vector)
+        return MappingProxyType(dict(zip(map(SubsetIndex, nz.tolist()),
+                                         self.vector[nz].tolist())))
 
     def coefficient(self, S: SubsetIndex) -> float:
-        return self.coeffs.get(S, 0.0)
+        return float(self.vector[S.mask]) if S.valid_for(self.n) else 0.0
 
     def mean(self) -> float:
         """E[f] under the defining distribution: the empty-set coefficient."""
-        return self.coeffs.get(SubsetIndex.empty(), 0.0)
+        return float(self.vector[0])
 
     def variance(self) -> float:
         """Var[f]: the sum of squared coefficients over non-empty subsets."""
-        return float(sum(c * c for S, c in self.coeffs.items() if S.mask != 0))
+        rest = self.vector[1:]
+        return float(rest @ rest)
 
     def norm_squared(self) -> float:
         """E[f^2]: the sum of all squared coefficients."""
-        return float(sum(c * c for c in self.coeffs.values()))
+        return float(self.vector @ self.vector)
 
     def degree(self) -> int:
-        live = [S.degree for S, c in self.coeffs.items() if c != 0.0]
-        return max(live, default=0)
-
-    def restricted_to_degree(self, d: int) -> "FourierExpansion":
-        """Keep only subsets of size <= d."""
-        return FourierExpansion(
-            self.n, {S: c for S, c in self.coeffs.items() if S.degree <= d})
+        return int(_popcounts(self.n)[self.vector != 0.0].max(initial=0))
 
     def scaled_by_degree(self, factor: Callable[[int], float]) -> "FourierExpansion":
         """Multiply each coefficient by factor(|S|)."""
-        return FourierExpansion(
-            self.n, {S: c * factor(S.degree) for S, c in self.coeffs.items()})
+        per_degree = np.array([factor(d) for d in range(self.n + 1)],
+                              dtype=np.float64)
+        return FourierExpansion._of_vector(
+            self.vector * per_degree[_popcounts(self.n)])
 
     def evaluate(self, x: np.ndarray, dist: ProductDistribution) -> float:
         """Evaluate the expansion at a point under `dist`'s phi basis."""
-        ph = phi_matrix(x, dist)
-        out = 0.0
-        for S, c in self.coeffs.items():
-            term = c
-            for i in S:
-                term *= ph[i]
-            out += term
-        return float(out)
+        return float(self.evaluate_batch(np.asarray(x)[None, :], dist)[0])
 
     def evaluate_batch(self, xs: np.ndarray, dist: ProductDistribution) -> np.ndarray:
+        """Evaluate at every row of xs (points may be fractional).
+
+        The coefficients, as a matrix indexed by (mask of the high
+        coordinates, mask of the low ones), meet the phi-product bases of
+        the two halves, so the work arrays hold 2^(n/2) entries per point.
+        """
         ph = phi_matrix(xs, dist)
-        out = np.zeros(ph.shape[0])
-        for S, c in self.coeffs.items():
-            term = np.full(ph.shape[0], c)
-            for i in S:
-                term = term * ph[:, i]
-            out += term
-        return out
+        low = self.n // 2
+        partial = _basis(ph[:, :low]) @ self.vector.reshape(-1, 1 << low).T
+        return np.einsum("bj,bj->b", partial, _basis(ph[:, low:]))
 
     def items_sorted(self) -> list[tuple[SubsetIndex, float]]:
         """Deterministic order: by degree, then by member tuple."""
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0].degree, kv[0].members))
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return int(np.count_nonzero(self.vector))
+
+    def __repr__(self) -> str:
+        return "FourierExpansion(n=%d, %d nonzero)" % (self.n, len(self))
 
 
 def transform(f: BooleanFunction, dist: ProductDistribution) -> FourierExpansion:
@@ -203,15 +252,11 @@ def transform(f: BooleanFunction, dist: ProductDistribution) -> FourierExpansion
     for i in range(n):
         p = dist.probs[i]
         half_sigma = np.sqrt(p * (1.0 - p))
-        shaped = work.reshape(-1, 2 << i)
-        lo = shaped[:, : 1 << i].copy()
-        hi = shaped[:, 1 << i:].copy()
-        shaped[:, : 1 << i] = (1.0 - p) * lo + p * hi
-        shaped[:, 1 << i:] = half_sigma * (hi - lo)
-    coeffs = {}
-    for m in np.nonzero(np.abs(work) > COEFF_DROP)[0]:
-        coeffs[SubsetIndex(int(m))] = float(work[m])
-    return FourierExpansion(n, coeffs)
+        pairs = work.reshape(-1, 2, 1 << i)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        pairs[:, 0], pairs[:, 1] = (1.0 - p) * lo + p * hi, half_sigma * (hi - lo)
+    work[np.abs(work) <= COEFF_DROP] = 0.0
+    return FourierExpansion._of_vector(work)
 
 
 def inverse_transform(e: FourierExpansion, dist: ProductDistribution) -> BooleanFunction:
@@ -220,20 +265,16 @@ def inverse_transform(e: FourierExpansion, dist: ProductDistribution) -> Boolean
         raise ValueError("distribution dimension %d != expansion dimension %d"
                          % (dist.n, e.n))
     n = e.n
-    work = np.zeros(1 << n)
-    for S, c in e.coeffs.items():
-        work[S.mask] = c
+    work = np.array(e.vector)
     for i in range(n - 1, -1, -1):
         p = dist.probs[i]
         # phi_i at x_i = +1 and -1; the inverse butterfly rebuilds
         # lo = a + phi(-1) b, hi = a + phi(+1) b from (a, b).
         phi_hi = np.sqrt((1.0 - p) / p)
         phi_lo = -np.sqrt(p / (1.0 - p))
-        shaped = work.reshape(-1, 2 << i)
-        a = shaped[:, : 1 << i].copy()
-        b = shaped[:, 1 << i:].copy()
-        shaped[:, : 1 << i] = a + phi_lo * b
-        shaped[:, 1 << i:] = a + phi_hi * b
+        pairs = work.reshape(-1, 2, 1 << i)
+        a, b = pairs[:, 0], pairs[:, 1]
+        pairs[:, 0], pairs[:, 1] = a + phi_lo * b, a + phi_hi * b
     return BooleanFunction(n, table=work)
 
 
@@ -241,20 +282,14 @@ def multilinear_gradient(e: FourierExpansion, x: np.ndarray,
                          dist: ProductDistribution) -> np.ndarray:
     """Gradient of the multilinear extension at a (possibly fractional) point.
 
-    d/dx_j picks out subsets containing j: each contributes its
-    coefficient over sigma_j times the phi product over the remaining
-    members.
+    d/dx_j keeps the subsets containing j, with j removed, over sigma_j:
+    row j of `rows` moves each such coefficient to its slot without j.
     """
-    ph = phi_matrix(x, dist)
-    grad = np.zeros(e.n)
-    for S, c in e.coeffs.items():
-        for j in S:
-            term = c / dist.sigma[j]
-            for i in S:
-                if i != j:
-                    term *= ph[i]
-            grad[j] += term
-    return grad
+    n = e.n
+    rows = np.zeros((n, 1 << n))
+    for j in range(n):
+        rows[j].reshape(-1, 2, 1 << j)[:, 0] = e.vector.reshape(-1, 2, 1 << j)[:, 1]
+    return rows @ _basis(phi_matrix(x, dist)[None, :])[0] / dist.sigma
 
 
 def norm(f: BooleanFunction, dist: ProductDistribution, order: float) -> float:
@@ -286,6 +321,7 @@ def expansion_to_text(e: FourierExpansion) -> str:
     Indices are comma-separated ascending; the empty subset prints as `-`.
     Lines are ordered by (degree, indices) so output is deterministic.
     Coefficients print with repr-level precision and round-trip exactly.
+    Zero coefficients are not written.
     """
     lines = ["# n=%d" % e.n]
     for S, c in e.items_sorted():
@@ -321,8 +357,9 @@ def expansion_from_text(text: str) -> FourierExpansion:
                 members = [int(tok) for tok in key.split(",")]
             except ValueError:
                 raise ValueError("line %d: bad index list %r" % (ln, key))
-            if any(i < 0 for i in members):
-                raise ValueError("line %d: negative coordinate index" % ln)
+            if any(not 0 <= i < MAX_N for i in members):
+                raise ValueError("line %d: coordinate index outside [0, %d)"
+                                 % (ln, MAX_N))
             if sorted(set(members)) != members:
                 raise ValueError("line %d: indices must be strictly ascending" % ln)
             S = SubsetIndex.of(members)

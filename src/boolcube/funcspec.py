@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import enumerate_points
-from .fourier import BooleanFunction
+from .cube import MAX_N, ProductDistribution, enumerate_points
+from .fourier import BooleanFunction, FourierExpansion, inverse_transform
 from .rng import stream
 
 __all__ = ["FunctionSpecError", "FunctionSpec", "parse_function"]
@@ -37,8 +37,6 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _INT = re.compile(r"[-+]?\d+")
 _NAME = re.compile(r"[A-Za-z_]+")
 _HEX = re.compile(r"[0-9a-fA-F]+")
-
-_MAX_N = 16
 
 
 class FunctionSpecError(ValueError):
@@ -120,7 +118,7 @@ def _index_list(cur: _Cursor, closing: str) -> tuple[int, ...]:
         idx = cur.integer("coordinate index")
         if idx < 0:
             cur.fail("coordinate index must be non-negative", at)
-        if idx >= _MAX_N:
+        if idx >= MAX_N:
             cur.fail("coordinate index %d exceeds the supported range" % idx, at)
         if idx in out:
             cur.fail("duplicate coordinate index %d" % idx, at)
@@ -169,41 +167,41 @@ class FunctionSpec:
         n, degree, density, seed = self.data
         return "randpoly(%d,%d,%s,%d)" % (n, degree, repr(density), seed)
 
-    def _poly_terms(self) -> list[tuple[tuple[int, ...], float]]:
-        if self.kind == "poly":
-            return list(self.data)
+    def _poly_coefficients(self) -> np.ndarray:
+        """The monomial coefficients, indexed by subset bitmask."""
+        coeffs = np.zeros(1 << self.n)
+        if self.kind != "randpoly":
+            # a dictator or a parity is one monomial with coefficient 1
+            terms = self.data if self.kind == "poly" else [(self.data, 1.0)]
+            for members, coeff in terms:
+                coeffs[sum(1 << i for i in members)] = coeff
+            return coeffs
         n, degree, density, seed = self.data
         rng = stream(seed)
-        terms = []
         for mask in range(1, 1 << n):
             if mask.bit_count() > degree:
                 continue
             keep = rng.random() < density
             coeff = rng.normal()
             if keep:
-                members = tuple(i for i in range(n) if (mask >> i) & 1)
-                terms.append((members, float(coeff)))
-        return terms
+                coeffs[mask] = coeff
+        return coeffs
 
     def build(self) -> BooleanFunction:
         """Materialize the truth table (indexing per cube conventions)."""
         n = self.n
+        if self.kind in ("dict", "parity", "poly", "randpoly"):
+            # At p = 1/2, phi_i = x_i, so the monomial coefficients are
+            # the expansion and the inverse butterfly gives the table.
+            table = inverse_transform(
+                FourierExpansion._of_vector(self._poly_coefficients()),
+                ProductDistribution.uniform(n)).values()
+            return BooleanFunction(n, table=table, name=self.canonical())
         pts = enumerate_points(n).astype(np.float64)
-        if self.kind == "dict":
-            table = pts[:, self.data[0]]
-        elif self.kind == "maj":
+        if self.kind == "maj":
             table = np.sign(pts.sum(axis=1))
         elif self.kind == "and":
             table = np.where((pts > 0).all(axis=1), 1.0, -1.0)
-        elif self.kind == "parity":
-            table = pts[:, list(self.data)].prod(axis=1)
-        elif self.kind in ("poly", "randpoly"):
-            table = np.zeros(1 << n)
-            for members, coeff in self._poly_terms():
-                term = np.full(1 << n, coeff)
-                for i in members:
-                    term *= pts[:, i]
-                table += term
         else:  # table
             val = int(self.data[0], 16)
             bits = (val >> np.arange(1 << n)) & 1
@@ -222,7 +220,7 @@ def parse_function(text: str) -> FunctionSpec:
         cur.take("(")
         i_at = cur.i
         i = cur.integer("coordinate index")
-        if not 0 <= i < _MAX_N:
+        if not 0 <= i < MAX_N:
             cur.fail("coordinate index out of range", i_at)
         cur.take(")")
         spec = FunctionSpec("dict", (i,))
@@ -230,7 +228,7 @@ def parse_function(text: str) -> FunctionSpec:
         cur.take("(")
         n_at = cur.i
         n = cur.integer("arity")
-        if n < 1 or n > _MAX_N:
+        if n < 1 or n > MAX_N:
             cur.fail("arity out of range", n_at)
         if n % 2 == 0:
             cur.fail("majority requires odd arity", n_at)
@@ -240,7 +238,7 @@ def parse_function(text: str) -> FunctionSpec:
         cur.take("(")
         n_at = cur.i
         n = cur.integer("arity")
-        if not 1 <= n <= _MAX_N:
+        if not 1 <= n <= MAX_N:
             cur.fail("arity out of range", n_at)
         cur.take(")")
         spec = FunctionSpec("and", (n,))
@@ -287,7 +285,7 @@ def parse_function(text: str) -> FunctionSpec:
             cur.fail("hex length must encode a power-of-two table of at "
                      "least 4 entries", h_at)
         n = bits.bit_length() - 1
-        if n > _MAX_N:
+        if n > MAX_N:
             cur.fail("table too large", h_at)
         cur.take(")")
         spec = FunctionSpec("table", (digits, n))
@@ -295,7 +293,7 @@ def parse_function(text: str) -> FunctionSpec:
         cur.take("(")
         n_at = cur.i
         n = cur.integer("dimension")
-        if not 1 <= n <= _MAX_N:
+        if not 1 <= n <= MAX_N:
             cur.fail("dimension out of range", n_at)
         cur.take(",")
         d_at = cur.i

@@ -13,7 +13,6 @@ import numpy as np
 
 from .cube import (
     ProductDistribution,
-    SubsetIndex,
     correlated_sample,
     weights,
 )
@@ -47,8 +46,9 @@ def discrete_derivative(e: FourierExpansion, i: int) -> FourierExpansion:
     """
     if not 0 <= i < e.n:
         raise ValueError("coordinate %d out of range" % i)
-    return FourierExpansion(
-        e.n, {S.without(i): c for S, c in e.coeffs.items() if S.contains(i)})
+    out = np.zeros(1 << e.n)
+    out.reshape(-1, 2, 1 << i)[:, 0] = e.vector.reshape(-1, 2, 1 << i)[:, 1]
+    return FourierExpansion._of_vector(out)
 
 
 def noise_expansion(e: FourierExpansion, rho: float) -> FourierExpansion:
@@ -85,11 +85,8 @@ def exact_gradient(f: BooleanFunction, dist: ProductDistribution) -> np.ndarray:
 
     Equals (2 / sigma_i) * fhat({i}); one transform serves all coordinates.
     """
-    e = transform(f, dist)
-    out = np.empty(dist.n)
-    for i in range(dist.n):
-        out[i] = 2.0 / dist.sigma[i] * e.coefficient(SubsetIndex.of([i]))
-    return out
+    singletons = transform(f, dist).vector[1 << np.arange(dist.n)]
+    return 2.0 / dist.sigma * singletons
 
 
 def numeric_gradient(f: BooleanFunction, dist: ProductDistribution,

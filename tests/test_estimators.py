@@ -1,8 +1,13 @@
 """Gradient estimators: identities, unbiasedness, variance oracles, benchmark."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import boolcube
 from boolcube import (
     BooleanFunction,
     EstimatorConfig,
@@ -195,6 +200,27 @@ def test_straight_through_unbiased_with_exact_derivative():
         dist = random_dist(4, rng)
         enum = expected_value_by_enumeration(cfg, f, dist)
         assert np.max(np.abs(enum - exact_gradient(f, dist))) < 1e-10
+
+
+def test_batched_front_ends_accept_an_expansion_as_derivative():
+    # at +-1 points the expansion's multilinear gradient is the
+    # half-difference of its table, so both oracles give the same draws
+    cases = [(MAJ3, U3),
+             (parse_function("randpoly(6,3,0.5,17)").build(),
+              ProductDistribution([0.2, 0.35, 0.5, 0.6, 0.75, 0.9]))]
+    for f, dist in cases:
+        e, tables = transform(f, dist), derivative_tables(f)
+        for cfg in (EstimatorConfig("straight_through"),
+                    EstimatorConfig("combined", rho=0.5, taylor_at_sample=True)):
+            with_e = estimate_gradient(cfg, f, dist, 2000, 31, derivs=e)
+            with_t = estimate_gradient(cfg, f, dist, 2000, 31, derivs=tables)
+            assert np.max(np.abs(with_e.grad - with_t.grad)) < 1e-12
+            one_e = single_sample(cfg, f, dist, stream(32), derivs=e)
+            one_t = single_sample(cfg, f, dist, stream(32), derivs=tables)
+            assert np.max(np.abs(one_e - one_t)) < 1e-12
+            rep_e = benchmark_variance(cfg, f, dist, 500, 33, derivs=e)
+            rep_t = benchmark_variance(cfg, f, dist, 500, 33, derivs=tables)
+            assert np.max(np.abs(rep_e.mean - rep_t.mean)) < 1e-12
 
 
 def test_muprop_hand_example():
@@ -533,6 +559,16 @@ def test_ema_validation():
         ema_mean_and_variance(np.empty((0, 2)), 0.9)
     with pytest.raises(ValueError):
         ema_mean_and_variance(np.zeros((3, 2)), 1.0)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal dominates start-up; only the EMA filter loads it
+    code = "import boolcube, sys; assert 'scipy.signal' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(boolcube.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -249,3 +249,18 @@ def test_batch_and_table_caching():
     assert len(calls) == 4
     xs = enumerate_points(2)
     assert np.array_equal(f.batch(xs), v)
+
+
+def test_dimension_limit_refused_before_allocation():
+    # n = 40 would need 2^40 entries; each entry point refuses it up front
+    with pytest.raises(ValueError, match="exceeds the supported maximum of 16"):
+        BooleanFunction.from_callable(40, lambda x: 0.0)
+    with pytest.raises(ValueError, match="exceeds the supported maximum of 16"):
+        BooleanFunction(40, table=np.zeros(4))
+    with pytest.raises(ValueError, match="exceeds the supported maximum of 16"):
+        FourierExpansion(40, {SubsetIndex.of([39]): 1.0})
+    with pytest.raises(ValueError, match="exceeds the supported maximum of 16"):
+        expansion_from_text("# n=40\n-\t1.0\n")
+    with pytest.raises(ValueError, match=r"line 2: coordinate index outside \[0, 16\)"):
+        expansion_from_text("1\t0.5\n0,39\t1.0\n")
+    assert FourierExpansion(16, {}).vector.shape == (1 << 16,)
