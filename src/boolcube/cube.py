@@ -23,6 +23,7 @@ __all__ = [
     "SubsetIndex",
     "point",
     "point_to_index",
+    "points_to_indices",
     "index_to_point",
     "enumerate_points",
     "weights",
@@ -196,6 +197,12 @@ def point_to_index(x: np.ndarray) -> int:
     return int(bits @ (np.uint64(1) << np.arange(len(bits), dtype=np.uint64)))
 
 
+def points_to_indices(xs: np.ndarray) -> np.ndarray:
+    """Truth-table index of every row of xs, as an int64 array."""
+    bits = (np.asarray(xs) > 0).astype(np.int64)
+    return bits @ (np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64))
+
+
 def index_to_point(index: int, n: int) -> np.ndarray:
     """Inverse of point_to_index."""
     if not 0 <= index < (1 << n):
@@ -242,13 +249,22 @@ def correlated_sample(x: np.ndarray, rho: float, dist: ProductDistribution,
     replays are exact.  With size given, x may be a single point or a
     batch of matching leading dimension.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
     x = np.asarray(x)
     shape = x.shape if size is None else (size, dist.n)
-    keep = rng.random(shape) < rho
-    fresh = np.where(rng.random(shape) < dist.probs, 1, -1)
-    return np.where(keep, np.broadcast_to(x, shape), fresh).astype(np.int8)
+    return _resampled(np.broadcast_to(x, shape), rho, dist.probs,
+                      rng).astype(np.int8)
+
+
+def _resampled(x: np.ndarray, rho: float, p: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+    """x with each coordinate kept with probability rho and otherwise
+    redrawn as +1 with probability p, which broadcasts against x.  The
+    keep mask is drawn before the fresh values."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    keep = rng.random(x.shape) < rho
+    fresh = np.where(rng.random(x.shape) < p, 1, -1)
+    return np.where(keep, x, fresh)
 
 
 def phi(i: int, x: np.ndarray, dist: ProductDistribution) -> float:

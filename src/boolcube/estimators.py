@@ -10,6 +10,13 @@ training) it is biased, and the enumeration oracle measures the gap.
 Throughout, score_i(x) = d log p(x) / d p_i = 2 phi_i(x) / sigma_i,
 which is 1/p_i at x_i = +1 and -1/(1-p_i) at x_i = -1.
 
+Each kind's algebra is written once, in one batched kernel: the
+score-weighted integrand minus a control variate, plus the variate's
+expected contribution where it is not zero.  The per-sample functions,
+the sampling front ends and the exact oracles here feed it parts from
+truth tables, expansions and callables; the trainer in `sbn` feeds it
+parts from the belief net.
+
 Exact oracles (`expected_value_by_enumeration`, `variance_by_enumeration`)
 enumerate the truth table, replacing inner Monte Carlo smoothing by the
 exact smoothed function; both replacements are valid because every
@@ -20,25 +27,20 @@ adds the conditional variance term in closed form).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .cube import (
     ProductDistribution,
-    correlated_sample,
-    point_to_index,
     enumerate_points,
+    points_to_indices,
     sample,
     weights,
 )
-from .fourier import (
-    BooleanFunction,
-    FourierExpansion,
-    inverse_transform,
-    multilinear_gradient,
-    transform,
-)
-from .operators import noise_exact, noise_mc
+from .fourier import (BooleanFunction, FourierExpansion, inverse_transform,
+                      transform)
+from .operators import _smoothed_mc, noise_exact, noise_mc
 from .rng import stream
 
 __all__ = [
@@ -75,10 +77,6 @@ KINDS = (
     "combined",
 )
 
-# Kinds whose contribution divides by rho; rho = 0 is invalid for them.
-_DIVIDES_BY_RHO = ("fourier_cv", "combined")
-# Kinds whose contribution involves inner smoothing samples.
-_USES_INNER = ("fourier_cv", "fourier_cv_alt", "combined")
 _ENUM_MAX_N = 10
 
 
@@ -86,12 +84,11 @@ _ENUM_MAX_N = 10
 class EstimatorConfig:
     """Which estimator to run and its knobs.
 
-    rho is the keep-probability of the correlated resampler (0 < rho <= 1
-    at the config level; the fourier_cv_alt function itself also accepts
-    rho = 0).  t_rho_samples is the inner Monte Carlo count k.  alpha
-    scales the first-order term and beta the smoothing-based variate in
-    `combined`.  baseline_decay drives the EMA variance track of the
-    benchmark harness.
+    rho is the keep-probability of the correlated resampler, in [0, 1];
+    kinds that divide by it need rho > 0.  t_rho_samples is the inner
+    Monte Carlo count k.  alpha scales the first-order term and beta the
+    smoothing-based variate in `combined`.  baseline_decay drives the EMA
+    variance track of the benchmark harness.
 
     exact_inner replaces inner Monte Carlo by the exactly smoothed
     function (k is then ignored).  taylor_at_sample switches `combined`
@@ -115,7 +112,8 @@ class EstimatorConfig:
                              % (self.kind, ", ".join(KINDS)))
         if not np.isfinite(self.rho) or not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if self.kind in _DIVIDES_BY_RHO and self.rho == 0.0:
+        if self.rho == 0.0 and not all(
+                np.isfinite(slope) for _, slope in _smoothing_terms(self)):
             raise ValueError("kind %r divides by rho; rho must be positive"
                              % self.kind)
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
@@ -217,32 +215,154 @@ def derivative_tables(f: BooleanFunction) -> np.ndarray:
     return out
 
 
-def _deriv_at(oracle, x: np.ndarray, dist: ProductDistribution) -> np.ndarray:
-    """Gradient of the (relaxed) function at one point, from whichever
-    oracle form the caller has: expansion, stacked tables, or callable."""
-    if isinstance(oracle, FourierExpansion):
-        return multilinear_gradient(oracle, x, dist)
-    if isinstance(oracle, np.ndarray):
-        return oracle[:, point_to_index(x)]
-    if callable(oracle):
-        return np.asarray(oracle(x), dtype=np.float64)
-    raise TypeError("no usable derivative oracle: %r" % (oracle,))
+# ---------------------------------------------------------------------------
+# The kernel and what it alone knows about each kind.
+
+def _contributions(cfg: EstimatorConfig, x: np.ndarray, p: np.ndarray,
+                   mu: np.ndarray, *, f, g, smoothed, taylor, deriv,
+                   baseline=0.0) -> np.ndarray:
+    """(B, n) contributions of kind cfg.kind at the rows x, whose
+    coordinates are +1 with probabilities p and have means mu = 2p - 1,
+    each (n,) or (B, n).
+
+    The other parts are functions, called only if the kind uses them:
+    f() and g(), the integrand and the surrogate at each row (B,);
+    smoothed(r), T_r g at each row, sampled or exact (B,); taylor(),
+    the integrand the first-order term expands at each row, its value
+    at the mean and its gradient there, (n,) shared or (B, n) per row;
+    deriv(), the integrand's derivative at each row (B, n).  baseline
+    is a scalar or a (B,) array that must not depend on x.
+    """
+    if cfg.kind == "straight_through":
+        return 2.0 * deriv()
+    sc = np.where(x > 0, 1.0 / p, -1.0 / (1.0 - p))
+    if cfg.kind == "reinforce":
+        return f()[:, None] * sc
+    if cfg.kind == "reinforce_const_baseline":
+        return (f() - baseline)[:, None] * sc
+    if cfg.kind == "fourier_cv":
+        return (f() - g() + smoothed(cfg.rho) / cfg.rho)[:, None] * sc
+    if cfg.kind == "fourier_cv_alt":
+        t = f() - g() + smoothed(cfg.rho) + smoothed(1.0 - cfg.rho)
+        return t[:, None] * sc
+    fx, value, grad = taylor()
+    lin = _linear(x - mu, deriv() if cfg.taylor_at_sample else grad)
+    if cfg.kind == "muprop":
+        return (fx - value - lin)[:, None] * sc + 2.0 * grad
+    # combined
+    variate = g() - smoothed(cfg.rho) / cfg.rho
+    t = fx - baseline - value - cfg.alpha * lin - cfg.beta * variate
+    out = t[:, None] * sc
+    return out if cfg.taylor_at_sample else out + 2.0 * cfg.alpha * grad
+
+
+def _linear(centered: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """<d, x - mu> per row.  A gradient shared by all rows is contracted by
+    a matrix product, one per row by a row-wise sum; the two round
+    differently, and each caller's outputs rest on its form."""
+    return centered @ d if d.ndim == 1 else np.sum(d * centered, axis=1)
+
+
+@lru_cache
+def _smoothing_terms(cfg: EstimatorConfig) -> tuple[tuple[float, float], ...]:
+    """(rate, slope) of every smoothed value cfg's kind uses, in order.
+
+    A contribution is affine in each smoothed value, with slope * score
+    as its coefficient.  So at x = p = mu = 1 (score 1, x - mu = 0), with
+    every other part 0, the kernel gives slope j on the row where value
+    j alone is 1; at rho = 0 a kind that divides by rho gives a
+    non-finite slope.  No kind uses more than two smoothed values.
+    """
+    rates: list[float] = []
+
+    def smoothed(rho: float) -> np.ndarray:
+        rates.append(rho)
+        return np.eye(2)[len(rates) - 1]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _contributions(
+            cfg, np.ones((2, 1)), np.ones(1), np.ones(1),
+            f=lambda: np.zeros(2), g=lambda: np.zeros(2), smoothed=smoothed,
+            taylor=lambda: (np.zeros(2), 0.0, np.zeros(1)),
+            deriv=lambda: np.zeros((2, 1)))
+    return tuple((rho, float(out[j, 0])) for j, rho in enumerate(rates))
 
 
 # ---------------------------------------------------------------------------
-# Per-sample estimators.  Each returns the length-n contribution vector
-# for one sampled x.
+# Cube front ends: parts from truth tables, expansions and callables.  The
+# per-sample functions return the length-n contribution vector of one x.
+
+def _derivative_at(derivs, f, xs: np.ndarray,
+                   dist: ProductDistribution) -> np.ndarray:
+    """(B, n) derivative at the rows xs, from whichever oracle the caller
+    has: stacked tables, an expansion, a callable on one point, or None
+    for f's own derivative tables."""
+    if derivs is None and f is not None:
+        derivs = derivative_tables(f)
+    elif isinstance(derivs, FourierExpansion):
+        # At +-1 points the multilinear gradient of an expansion is the
+        # half-difference of its own truth table.
+        derivs = derivative_tables(inverse_transform(derivs, dist))
+    elif callable(derivs):
+        return np.array([np.asarray(derivs(x), dtype=np.float64) for x in xs])
+    if not isinstance(derivs, np.ndarray):
+        raise TypeError("no usable derivative oracle: %r" % (derivs,))
+    return derivs[:, points_to_indices(xs)].T
+
+
+def _cube_contributions(cfg: EstimatorConfig, f: BooleanFunction,
+                        dist: ProductDistribution, xs: np.ndarray, mc=None,
+                        g=None, baseline: float = 0.0, taylor=None,
+                        derivs=None) -> np.ndarray:
+    """The kernel at the rows xs.  g defaults to f, taylor to f's exact
+    MeanTaylor and derivs to f's derivative tables.  mc(g, rho) draws
+    the smoothed g at the rows; without it the smoothing is exact."""
+    g = f if g is None else g
+
+    def first_order():
+        t = MeanTaylor.from_function(f, dist) if taylor is None else taylor
+        return f.batch(xs), t.value, t.gradient
+
+    return _contributions(
+        cfg, xs, dist.probs, dist.mu, f=lambda: f.batch(xs),
+        g=lambda: g.batch(xs), taylor=first_order, smoothed=lambda rho: (
+            noise_exact(g, rho, dist).batch(xs) if mc is None else mc(g, rho)),
+        deriv=lambda: _derivative_at(derivs, f, xs, dist), baseline=baseline)
+
+
+def _at_point(cfg: EstimatorConfig, f, x: np.ndarray,
+              dist: ProductDistribution, rng=None, **oracles) -> np.ndarray:
+    """The kernel on the single point x; each smoothed value averages k
+    resamplings of x, drawn by noise_mc in one block."""
+    def mc(g, rho):
+        return np.array([noise_mc(g, x, rho, dist, rng, cfg.t_rho_samples)])
+
+    return _cube_contributions(cfg, f, dist, np.asarray(x)[None, :], mc,
+                               **oracles)[0]
+
+
+def _sampled(cfg: EstimatorConfig, f: BooleanFunction,
+             dist: ProductDistribution, rng: np.random.Generator,
+             xs: np.ndarray, **oracles) -> np.ndarray:
+    """Contributions at the points xs just drawn from rng.  Unless cfg
+    asks for exact smoothing, every smoothed value averages k resampling
+    draws of all rows, taken from the same stream."""
+    mc = None if cfg.exact_inner else (lambda g, rho: _smoothed_mc(
+        g.batch, xs, dist.probs, rho, cfg.t_rho_samples, rng))
+    return _cube_contributions(cfg, f, dist, xs, mc, **oracles)
+
 
 def reinforce(f: BooleanFunction, x: np.ndarray,
               dist: ProductDistribution) -> np.ndarray:
     """f(x) * score(x)."""
-    return f.value(x) * score(x, dist)
+    return _at_point(EstimatorConfig("reinforce"), f, x, dist)
 
 
 def reinforce_const_baseline(f: BooleanFunction, x: np.ndarray,
                              dist: ProductDistribution, c: float) -> np.ndarray:
     """(f(x) - c) * score(x); unbiased for any constant c."""
-    return (f.value(x) - float(c)) * score(x, dist)
+    return _at_point(EstimatorConfig("reinforce_const_baseline"), f, x, dist,
+                     baseline=float(c))
 
 
 def straight_through(deriv, x: np.ndarray,
@@ -252,7 +372,8 @@ def straight_through(deriv, x: np.ndarray,
     Unbiased only when `deriv` is the exact multilinear derivative;
     callers passing a relaxation's derivative get the biased estimator.
     """
-    return 2.0 * _deriv_at(deriv, x, dist)
+    return _at_point(EstimatorConfig("straight_through"), None, x, dist,
+                     derivs=deriv)
 
 
 def muprop(f: BooleanFunction, taylor: MeanTaylor, x: np.ndarray,
@@ -264,9 +385,7 @@ def muprop(f: BooleanFunction, taylor: MeanTaylor, x: np.ndarray,
     otherwise), so adding 2 * gradient_i back keeps the estimator
     unbiased for ANY supplied (value, gradient) pair.
     """
-    x = np.asarray(x)
-    resid = f.value(x) - taylor.value - float((x - dist.mu) @ taylor.gradient)
-    return resid * score(x, dist) + 2.0 * taylor.gradient
+    return _at_point(EstimatorConfig("muprop"), f, x, dist, taylor=taylor)
 
 
 def fourier_cv(f: BooleanFunction, g: BooleanFunction, x: np.ndarray,
@@ -279,10 +398,8 @@ def fourier_cv(f: BooleanFunction, g: BooleanFunction, x: np.ndarray,
     so the estimator is unbiased for any g; the inner smoothing is a
     k-sample Monte Carlo value, conditionally unbiased given x.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    t = noise_mc(g, x, rho, dist, rng, samples=k)
-    return (f.value(x) - g.value(x) + t / rho) * score(x, dist)
+    cfg = EstimatorConfig("fourier_cv", rho=rho, t_rho_samples=k)
+    return _at_point(cfg, f, x, dist, rng, g=g)
 
 
 def fourier_cv_alt(f: BooleanFunction, g: BooleanFunction, x: np.ndarray,
@@ -293,11 +410,8 @@ def fourier_cv_alt(f: BooleanFunction, g: BooleanFunction, x: np.ndarray,
     Degree-one coefficients of g - T_rho(g) - T_{1-rho}(g) cancel as
     1 - rho - (1-rho) = 0; valid for any rho in [0, 1].
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    t1 = noise_mc(g, x, rho, dist, rng, samples=k)
-    t2 = noise_mc(g, x, 1.0 - rho, dist, rng, samples=k)
-    return (f.value(x) - g.value(x) + t1 + t2) * score(x, dist)
+    cfg = EstimatorConfig("fourier_cv_alt", rho=rho, t_rho_samples=k)
+    return _at_point(cfg, f, x, dist, rng, g=g)
 
 
 def combined(f: BooleanFunction, b: float, taylor: MeanTaylor,
@@ -318,94 +432,10 @@ def combined(f: BooleanFunction, b: float, taylor: MeanTaylor,
     """
     if cfg.kind != "combined":
         raise ValueError("cfg.kind must be 'combined'")
-    x = np.asarray(x)
-    t_inner = noise_mc(g, x, cfg.rho, dist, rng, samples=cfg.t_rho_samples)
-    variate = g.value(x) - t_inner / cfg.rho
-    if cfg.taylor_at_sample:
-        if deriv is None:
-            raise ValueError("taylor_at_sample needs a derivative oracle")
-        lin = float((x - dist.mu) @ _deriv_at(deriv, x, dist))
-        t = f.value(x) - float(b) - taylor.value - cfg.alpha * lin - cfg.beta * variate
-        return t * score(x, dist)
-    lin = float((x - dist.mu) @ taylor.gradient)
-    t = f.value(x) - float(b) - taylor.value - cfg.alpha * lin - cfg.beta * variate
-    return t * score(x, dist) + 2.0 * cfg.alpha * taylor.gradient
-
-
-# ---------------------------------------------------------------------------
-# Batched core shared by the sampler, the benchmark, and the oracles.
-
-def _batch_indices(xs: np.ndarray) -> np.ndarray:
-    bits = (np.asarray(xs) > 0).astype(np.int64)
-    return bits @ (np.int64(1) << np.arange(xs.shape[-1], dtype=np.int64))
-
-
-def _resolve(cfg: EstimatorConfig, f: BooleanFunction,
-             dist: ProductDistribution, g, taylor, derivs):
-    """Fill in default oracles: g defaults to f; taylor and derivative
-    tables default to the exact ones computed from f's table."""
-    if g is None:
-        g = f
-    if taylor is None and cfg.kind in ("muprop", "combined"):
-        taylor = MeanTaylor.from_function(f, dist)
-    needs_derivs = cfg.kind == "straight_through" or (
-        cfg.kind == "combined" and cfg.taylor_at_sample)
-    if derivs is None and needs_derivs:
-        derivs = derivative_tables(f)
-    elif isinstance(derivs, FourierExpansion) and needs_derivs:
-        # At +-1 points the multilinear gradient of an expansion is the
-        # half-difference of its own truth table.
-        derivs = derivative_tables(inverse_transform(derivs, dist))
-    return g, taylor, derivs
-
-
-def _smoothed(g: BooleanFunction, xs: np.ndarray, rho: float, k: int,
-              dist: ProductDistribution, rng, exact: bool) -> np.ndarray:
-    if exact:
-        return noise_exact(g, rho, dist).batch(xs)
-    acc = np.zeros(xs.shape[0])
-    for _ in range(k):
-        acc += g.batch(correlated_sample(xs, rho, dist, rng))
-    return acc / k
-
-
-def _contribution_matrix(cfg: EstimatorConfig, f: BooleanFunction,
-                         dist: ProductDistribution, xs: np.ndarray,
-                         rng, g, baseline: float, taylor, derivs,
-                         exact_inner: bool) -> np.ndarray:
-    """(trials, n) contributions for pre-drawn points xs."""
-    kind = cfg.kind
-    sc = score(xs, dist)
-    if kind == "straight_through":
-        return 2.0 * derivs[:, _batch_indices(xs)].T
-    fx = f.batch(xs)
-    if kind == "reinforce":
-        return fx[:, None] * sc
-    if kind == "reinforce_const_baseline":
-        return (fx - baseline)[:, None] * sc
-    if kind == "muprop":
-        resid = fx - taylor.value - (xs - dist.mu) @ taylor.gradient
-        return resid[:, None] * sc + 2.0 * taylor.gradient
-    gx = g.batch(xs)
-    if kind == "fourier_cv":
-        t = _smoothed(g, xs, cfg.rho, cfg.t_rho_samples, dist, rng, exact_inner)
-        return (fx - gx + t / cfg.rho)[:, None] * sc
-    if kind == "fourier_cv_alt":
-        t1 = _smoothed(g, xs, cfg.rho, cfg.t_rho_samples, dist, rng, exact_inner)
-        t2 = _smoothed(g, xs, 1.0 - cfg.rho, cfg.t_rho_samples, dist, rng,
-                       exact_inner)
-        return (fx - gx + t1 + t2)[:, None] * sc
-    # combined
-    t_inner = _smoothed(g, xs, cfg.rho, cfg.t_rho_samples, dist, rng, exact_inner)
-    variate = gx - t_inner / cfg.rho
-    if cfg.taylor_at_sample:
-        dmat = derivs[:, _batch_indices(xs)].T
-        lin = np.sum(dmat * (xs - dist.mu), axis=1)
-        t = fx - baseline - taylor.value - cfg.alpha * lin - cfg.beta * variate
-        return t[:, None] * sc
-    lin = (xs - dist.mu) @ taylor.gradient
-    t = fx - baseline - taylor.value - cfg.alpha * lin - cfg.beta * variate
-    return t[:, None] * sc + 2.0 * cfg.alpha * taylor.gradient
+    if cfg.taylor_at_sample and deriv is None:
+        raise ValueError("taylor_at_sample needs a derivative oracle")
+    return _at_point(cfg, f, x, dist, rng, g=g, baseline=float(b),
+                     taylor=taylor, derivs=deriv)
 
 
 def single_sample(cfg: EstimatorConfig, f: BooleanFunction,
@@ -413,13 +443,11 @@ def single_sample(cfg: EstimatorConfig, f: BooleanFunction,
                   g=None, baseline: float = 0.0, taylor=None,
                   derivs=None) -> np.ndarray:
     """Draw one x and return its contribution vector under cfg."""
-    g, taylor, derivs = _resolve(cfg, f, dist, g, taylor, derivs)
-    xs = sample(dist, rng, size=1)
-    return _contribution_matrix(cfg, f, dist, xs, rng, g, baseline, taylor,
-                                derivs, cfg.exact_inner)[0]
+    return _sampled(cfg, f, dist, rng, sample(dist, rng, size=1), g=g,
+                    baseline=baseline, taylor=taylor, derivs=derivs)[0]
 
 
-def _require_tables(cfg: EstimatorConfig, *fns: BooleanFunction):
+def _require_tables(*fns: BooleanFunction):
     for fn in fns:
         if fn.n > _ENUM_MAX_N:
             raise ValueError("enumeration oracle supports n <= %d, got n=%d"
@@ -438,11 +466,10 @@ def expected_value_by_enumeration(cfg: EstimatorConfig, f: BooleanFunction,
     preserves the expectation because contributions are linear in the
     inner estimate.
     """
-    g, taylor, derivs = _resolve(cfg, f, dist, g, taylor, derivs)
-    _require_tables(cfg, f, g)
-    pts = enumerate_points(f.n)
-    m = _contribution_matrix(cfg, f, dist, pts, None, g, baseline, taylor,
-                             derivs, True)
+    g = f if g is None else g
+    _require_tables(f, g)
+    m = _cube_contributions(cfg, f, dist, enumerate_points(f.n), g=g,
+                            baseline=baseline, taylor=taylor, derivs=derivs)
     return weights(dist) @ m
 
 
@@ -454,36 +481,29 @@ def variance_by_enumeration(cfg: EstimatorConfig, f: BooleanFunction,
 
     Law of total variance: the across-points variance of the exact
     conditional mean, plus the expected conditional variance of the
-    inner Monte Carlo smoothing, which for a k-sample inner estimate is
-    scale^2 * score_i(x)^2 * (T_rho(g^2)(x) - (T_rho(g)(x))^2) / k
-    with scale = 1/rho (fourier_cv), 1 per smoothing term (alt), or
-    beta/rho (combined).  Exact-inner configs have no inner term.
+    inner Monte Carlo smoothing.  For a k-sample inner estimate, each
+    smoothed value the kind uses adds
+    slope^2 * score_i(x)^2 * (T_rho(g^2)(x) - (T_rho(g)(x))^2) / k,
+    with the slope the kernel gives it: 1/rho (fourier_cv), 1 per
+    smoothing term (alt), or beta/rho (combined).  Exact-inner configs
+    have no inner term.
     """
-    g, taylor, derivs = _resolve(cfg, f, dist, g, taylor, derivs)
-    _require_tables(cfg, f, g)
+    g = f if g is None else g
+    _require_tables(f, g)
     pts = enumerate_points(f.n)
     w = weights(dist)
-    m = _contribution_matrix(cfg, f, dist, pts, None, g, baseline, taylor,
-                             derivs, True)
+    m = _cube_contributions(cfg, f, dist, pts, g=g, baseline=baseline,
+                            taylor=taylor, derivs=derivs)
     mean = w @ m
     var = w @ (m * m) - mean * mean
-    if cfg.kind in _USES_INNER and not cfg.exact_inner:
-        sc2 = score(pts, dist) ** 2
+    terms = () if cfg.exact_inner else _smoothing_terms(cfg)
+    if terms:
         g2 = BooleanFunction(g.n, table=g.values() ** 2)
-
-        def cond_var(rho: float) -> np.ndarray:
-            v = (noise_exact(g2, rho, dist).values()
-                 - noise_exact(g, rho, dist).values() ** 2)
-            return np.maximum(v, 0.0)
-
-        k = cfg.t_rho_samples
-        if cfg.kind == "fourier_cv":
-            inner = cond_var(cfg.rho) / (k * cfg.rho ** 2)
-        elif cfg.kind == "fourier_cv_alt":
-            inner = (cond_var(cfg.rho) + cond_var(1.0 - cfg.rho)) / k
-        else:
-            inner = cond_var(cfg.rho) * (cfg.beta ** 2) / (k * cfg.rho ** 2)
-        var = var + w @ (sc2 * inner[:, None])
+        inner = sum(slope ** 2 * np.maximum(
+            noise_exact(g2, rho, dist).values()
+            - noise_exact(g, rho, dist).values() ** 2, 0.0)
+            for rho, slope in terms) / cfg.t_rho_samples
+        var = var + w @ (score(pts, dist) ** 2 * inner[:, None])
     return var
 
 
@@ -494,11 +514,10 @@ def estimate_gradient(cfg: EstimatorConfig, f: BooleanFunction,
     """Average `batch` single-sample contributions from a fresh stream."""
     if batch < 1:
         raise ValueError("batch must be at least 1")
-    g, taylor, derivs = _resolve(cfg, f, dist, g, taylor, derivs)
     rng = stream(seed)
     xs = sample(dist, rng, size=batch)
-    m = _contribution_matrix(cfg, f, dist, xs, rng, g, baseline, taylor,
-                             derivs, cfg.exact_inner)
+    m = _sampled(cfg, f, dist, rng, xs, g=g, baseline=baseline, taylor=taylor,
+                 derivs=derivs)
     return GradientEstimate(grad=m.mean(axis=0), batch=batch, seed=seed)
 
 
@@ -591,11 +610,10 @@ def benchmark_variance(cfg: EstimatorConfig, f: BooleanFunction,
     """
     if trials < 2:
         raise ValueError("trials must be at least 2")
-    g, taylor, derivs = _resolve(cfg, f, dist, g, taylor, derivs)
     rng = stream(seed)
     xs = sample(dist, rng, size=trials)
-    m = _contribution_matrix(cfg, f, dist, xs, rng, g, baseline, taylor,
-                             derivs, cfg.exact_inner)
+    m = _sampled(cfg, f, dist, rng, xs, g=g, baseline=baseline, taylor=taylor,
+                 derivs=derivs)
     _, v = ema_mean_and_variance(m, cfg.baseline_decay)
     return VarianceReport(mean=m.mean(axis=0), variance=m.var(axis=0, ddof=1),
                           ema_variance=v[-1], trials=trials, seed=seed,

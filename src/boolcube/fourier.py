@@ -23,6 +23,7 @@ from .cube import (
     enumerate_points,
     phi_matrix,
     point_to_index,
+    points_to_indices,
     weights,
 )
 
@@ -135,9 +136,10 @@ class BooleanFunction:
         """Evaluate a batch of points (rows of xs)."""
         xs = np.asarray(xs)
         if self._table is not None:
-            bits = (xs > 0).astype(np.int64)
-            idx = bits @ (1 << np.arange(self.n, dtype=np.int64))
-            return self._table[idx]
+            if xs.shape[-1] != self.n:
+                raise ValueError("points have %d coordinates, the function %d"
+                                 % (xs.shape[-1], self.n))
+            return self._table[points_to_indices(xs)]
         return np.array([float(self._func(row)) for row in xs])
 
     def __repr__(self) -> str:

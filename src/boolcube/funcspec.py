@@ -203,9 +203,11 @@ class FunctionSpec:
         elif self.kind == "and":
             table = np.where((pts > 0).all(axis=1), 1.0, -1.0)
         else:  # table
-            val = int(self.data[0], 16)
-            bits = (val >> np.arange(1 << n)) & 1
-            table = 2.0 * bits - 1.0
+            # Bit m of the hex integer is bit m % 4 of digit m // 4 from the
+            # right; read digit by digit, since the integer may pass 64 bits.
+            nibbles = np.array([int(c, 16) for c in reversed(self.data[0])])
+            bits = (nibbles[:, None] >> np.arange(4)) & 1
+            table = 2.0 * bits.reshape(-1) - 1.0
         return BooleanFunction(n, table=table, name=self.canonical())
 
 

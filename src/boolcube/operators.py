@@ -11,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (
-    ProductDistribution,
-    correlated_sample,
-    weights,
-)
+from .cube import ProductDistribution, _resampled, weights
 from .fourier import (
     BooleanFunction,
     FourierExpansion,
@@ -71,8 +67,20 @@ def noise_mc(f: BooleanFunction, x: np.ndarray, rho: float,
              dist: ProductDistribution, rng: np.random.Generator,
              samples: int = 1) -> float:
     """Monte Carlo value of (T_rho f)(x): average f over resamplings of x."""
-    xs = correlated_sample(np.asarray(x), rho, dist, rng, size=samples)
-    return float(np.mean(f.batch(xs)))
+    xs = np.broadcast_to(np.asarray(x, dtype=np.int8), (samples, dist.n))
+    return float(np.mean(_smoothed_mc(f.batch, xs, dist.probs, rho, 1, rng)))
+
+
+def _smoothed_mc(g, x: np.ndarray, p: np.ndarray, rho: float, k: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """k-draw Monte Carlo value of (T_rho g) at every row of x, with g
+    evaluating a batch of rows; each draw resamples every row as
+    `correlated_sample` does, against probabilities p (a distribution's
+    probs, or one row per row), so a stream replays exactly."""
+    acc = np.zeros(x.shape[0])
+    for _ in range(k):
+        acc += g(_resampled(x, rho, p, rng).astype(x.dtype, copy=False))
+    return acc / k
 
 
 def expectation(f: BooleanFunction, dist: ProductDistribution) -> float:

@@ -5,14 +5,17 @@ Generative side: p(x_L) from free prior logits, p(x_l | x_{l+1}) and
 p(y | x_1) from single affine links.  Inference side mirrors it:
 q(x_1 | y), q(x_{l+1} | x_l).  All units are Bernoulli over {-1,+1}.
 
-The inference net is trained with the estimators from .estimators
-applied layer by layer.  The objective f for layer l is the full ELBO
+The inference net is trained layer by layer by the estimator kernel of
+.estimators, which holds every kind's algebra; this module computes the
+parts a kind asks for.  The objective f for layer l is the full ELBO
 integrand R = log p(y|x) + log p(x) - log q(x|y) viewed as a function
 of layer l's sample with everything else held fixed: outcome terms are
 linear in that sample, terms where it feeds another conditional's
-logits are network-nonlinear.  Estimator contributions (units d/dp)
-convert to logit gradients via sigma'(t), then to parameter gradients.
-Decoder and prior are updated pathwise; baseline nets by regression.
+logits are network-nonlinear.  First-order kinds expand the terms that
+involve layer l at the conditional mean; smoothing kinds resample the
+layer's g net.  Contributions (units d/dp) convert to logit gradients
+via sigma'(t), then to parameter gradients.  Decoder and prior are
+updated pathwise; baseline nets by regression.
 
 Inference probabilities are clamped to [1e-6, 1-1e-6].  The local
 value/gradient oracles use the smooth logit form for terms where a
@@ -26,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import PROB_FLOOR, ProductDistribution, enumerate_points
+from .cube import MAX_N, PROB_FLOOR, ProductDistribution, enumerate_points
 from .estimators import (
     EstimatorConfig,
     MeanTaylor,
+    _contributions,
     ema_mean_and_variance,
     expected_value_by_enumeration,
 )
@@ -43,6 +47,7 @@ from .nets import (
     bern_ll_grad_t,
     sigmoid,
 )
+from .operators import _smoothed_mc
 from .rng import stream
 
 __all__ = [
@@ -260,19 +265,6 @@ def _local_value_grad(model: SbnModel, qnet: InferenceNet,
     return val, grad
 
 
-def _smoothed_g(gnet: MLP, x: np.ndarray, p: np.ndarray, rho: float, k: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """k-sample Monte Carlo of the smoothed surrogate at x: each inner
-    sample keeps a coordinate with probability rho, else redraws it
-    from the current conditional (keep mask drawn first, then fresh)."""
-    acc = np.zeros(x.shape[0])
-    for _ in range(k):
-        keep = rng.random(x.shape) < rho
-        fresh = np.where(rng.random(x.shape) < p, 1.0, -1.0)
-        acc += gnet.value(np.where(keep, x, fresh))
-    return acc / k
-
-
 def _layer_contributions(est: EstimatorConfig, model: SbnModel,
                          qnet: InferenceNet, baselines: SbnBaselines,
                          xs: list[np.ndarray], probs: list[np.ndarray],
@@ -281,42 +273,26 @@ def _layer_contributions(est: EstimatorConfig, model: SbnModel,
                          rng_inner: np.random.Generator) -> np.ndarray:
     """Per-unit estimator contributions (units d/dp) for layer li."""
     x, p = xs[li], probs[li]
-    sc = np.where(x > 0, 1.0 / p, -1.0 / (1.0 - p))
-    kind = est.kind
-    if kind == "reinforce":
-        return R[:, None] * sc
-    if kind == "reinforce_const_baseline":
-        return (R - b_val)[:, None] * sc
-    if kind == "straight_through":
-        _, grad_x = _local_value_grad(model, qnet, xs, probs, y, li, x)
-        return 2.0 * grad_x
     mu = 2.0 * p - 1.0
-    if kind == "muprop":
-        v_mu, g_mu = _local_value_grad(model, qnet, xs, probs, y, li, mu)
-        v_x, _ = _local_value_grad(model, qnet, xs, probs, y, li, x)
-        resid = v_x - v_mu - ((x - mu) * g_mu).sum(axis=1)
-        return resid[:, None] * sc + 2.0 * g_mu
     gnet = baselines.g[li]
-    g_x = gnet.value(x)
-    if kind == "fourier_cv":
-        t = _smoothed_g(gnet, x, p, est.rho, est.t_rho_samples, rng_inner)
-        return (R - g_x + t / est.rho)[:, None] * sc
-    if kind == "fourier_cv_alt":
-        t1 = _smoothed_g(gnet, x, p, est.rho, est.t_rho_samples, rng_inner)
-        t2 = _smoothed_g(gnet, x, p, 1.0 - est.rho, est.t_rho_samples, rng_inner)
-        return (R - g_x + t1 + t2)[:, None] * sc
-    # combined
-    t_in = _smoothed_g(gnet, x, p, est.rho, est.t_rho_samples, rng_inner)
-    variate = g_x - t_in / est.rho
-    v_x, grad_x = _local_value_grad(model, qnet, xs, probs, y, li, x)
-    v_mu, g_mu = _local_value_grad(model, qnet, xs, probs, y, li, mu)
-    if est.taylor_at_sample:
-        lin = ((x - mu) * grad_x).sum(axis=1)
-        t = v_x - v_mu - b_val - est.alpha * lin - est.beta * variate
-        return t[:, None] * sc
-    lin = ((x - mu) * g_mu).sum(axis=1)
-    t = v_x - v_mu - b_val - est.alpha * lin - est.beta * variate
-    return t[:, None] * sc + 2.0 * est.alpha * g_mu
+    at_x = []
+
+    def local_at_x():
+        if not at_x:
+            at_x.append(_local_value_grad(model, qnet, xs, probs, y, li, x))
+        return at_x[0]
+
+    def first_order():
+        # The local integrand omits terms free of layer li; measured from
+        # its value at mu, its Taylor value there is 0.
+        v_mu, g_mu = _local_value_grad(model, qnet, xs, probs, y, li, mu)
+        return local_at_x()[0] - v_mu, 0.0, g_mu
+
+    return _contributions(
+        est, x, p, mu, f=lambda: R, g=lambda: gnet.value(x),
+        smoothed=lambda rho: _smoothed_mc(gnet.value, x, p, rho,
+                                          est.t_rho_samples, rng_inner),
+        taylor=first_order, deriv=lambda: local_at_x()[1], baseline=b_val)
 
 
 def elbo_sample(model: SbnModel, qnet: InferenceNet, y: np.ndarray,
@@ -515,7 +491,7 @@ def _single_layer_configs(model: SbnModel):
     if len(model.widths) != 1:
         raise ValueError("enumeration oracles support single-layer models")
     w = model.widths[0]
-    if w > 16:
+    if w > MAX_N:
         raise ValueError("latent width too large to enumerate")
     return enumerate_points(w).astype(np.float64)
 
@@ -590,11 +566,7 @@ def expected_q_logit_gradient(model: SbnModel, qnet: InferenceNet,
     probs_full = [np.broadcast_to(p, configs.shape)]
     _, grads = _local_value_grad(model, qnet, [configs], probs_full, y_tiled,
                                  0, configs)
-    cfg = EstimatorConfig(kind=est.kind, rho=est.rho, alpha=est.alpha,
-                          beta=est.beta, t_rho_samples=est.t_rho_samples,
-                          baseline_decay=est.baseline_decay, exact_inner=True,
-                          taylor_at_sample=est.taylor_at_sample)
-    ev = expected_value_by_enumeration(cfg, f, dist, g=g_fun, baseline=b_val,
+    ev = expected_value_by_enumeration(est, f, dist, g=g_fun, baseline=b_val,
                                        taylor=taylor, derivs=grads.T)
     raw = sigmoid(t_q)
     return ev * raw * (1.0 - raw)

@@ -44,6 +44,13 @@ def test_transform_rerun_byte_identical(tmp_path, capsys):
     assert read(a_dir / "transform.txt") == read(b_dir / "transform.txt")
 
 
+def test_transform_table_past_64_bits(tmp_path, capsys):
+    code, _ = run(capsys, "transform", "--function", "table(f123456789abcdef)",
+                  "--out", str(tmp_path))
+    assert code == 0
+    assert read(tmp_path / "transform.txt").startswith("# cmd=transform")
+
+
 def test_transform_bad_function_exits_2(tmp_path, capsys):
     code, out = run(capsys, "transform", "--function", "maj(4)",
                     "--out", str(tmp_path))

@@ -33,6 +33,7 @@ from boolcube import (
     parse_function,
     phi_matrix,
     point,
+    point_to_index,
     reinforce,
     reinforce_const_baseline,
     sample,
@@ -221,6 +222,64 @@ def test_batched_front_ends_accept_an_expansion_as_derivative():
             rep_e = benchmark_variance(cfg, f, dist, 500, 33, derivs=e)
             rep_t = benchmark_variance(cfg, f, dist, 500, 33, derivs=tables)
             assert np.max(np.abs(rep_e.mean - rep_t.mean)) < 1e-12
+
+
+def test_front_ends_accept_a_callable_derivative():
+    # a callable reading the tables must give the same draws as the
+    # tables themselves, in every batched front end and both oracles
+    cases = [(MAJ3, U3),
+             (parse_function("randpoly(6,3,0.5,17)").build(),
+              ProductDistribution([0.2, 0.35, 0.5, 0.6, 0.75, 0.9]))]
+    for f, dist in cases:
+        tables = derivative_tables(f)
+
+        def oracle(x):
+            return tables[:, point_to_index(x)]
+
+        for cfg in (EstimatorConfig("straight_through"),
+                    EstimatorConfig("combined", rho=0.5, taylor_at_sample=True)):
+            def runs(d):
+                return [estimate_gradient(cfg, f, dist, 500, 41, derivs=d).grad,
+                        single_sample(cfg, f, dist, stream(42), derivs=d),
+                        benchmark_variance(cfg, f, dist, 300, 43, derivs=d).mean,
+                        expected_value_by_enumeration(cfg, f, dist, derivs=d),
+                        variance_by_enumeration(cfg, f, dist, derivs=d)]
+
+            for a, b in zip(runs(oracle), runs(tables)):
+                assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_per_sample_functions_match_single_sample():
+    # at k = 1 a per-sample function at the point single_sample draws,
+    # with the stream left where that draw leaves it, gives its vector
+    cases = [(MAJ3, U3),
+             (parse_function("randpoly(5,3,0.5,7)").build(),
+              ProductDistribution([0.2, 0.35, 0.5, 0.65, 0.8]))]
+    for f, dist in cases:
+        taylor = MeanTaylor.from_function(f, dist)
+        tables = derivative_tables(f)
+        at_sample = EstimatorConfig("combined", rho=0.5, taylor_at_sample=True)
+        pairs = [
+            ("reinforce", lambda x, rng: reinforce(f, x, dist)),
+            ("reinforce_const_baseline",
+             lambda x, rng: reinforce_const_baseline(f, x, dist, 0.0)),
+            ("straight_through", lambda x, rng: straight_through(tables, x, dist)),
+            ("muprop", lambda x, rng: muprop(f, taylor, x, dist)),
+            ("fourier_cv", lambda x, rng: fourier_cv(f, f, x, dist, 0.5, 1, rng)),
+            ("fourier_cv_alt",
+             lambda x, rng: fourier_cv_alt(f, f, x, dist, 0.5, 1, rng)),
+            ("combined", lambda x, rng: combined(
+                f, 0.0, taylor, f, x, dist, EstimatorConfig("combined"), rng)),
+            (at_sample, lambda x, rng: combined(
+                f, 0.0, taylor, f, x, dist, at_sample, rng, deriv=tables)),
+        ]
+        for cfg, one in pairs:
+            cfg = EstimatorConfig(cfg) if isinstance(cfg, str) else cfg
+            for s in range(20):
+                rng = stream(s)
+                got = one(sample(dist, rng, size=1)[0], rng)
+                want = single_sample(cfg, f, dist, stream(s))
+                assert np.max(np.abs(got - want)) < 1e-12, (cfg.label(), s)
 
 
 def test_muprop_hand_example():

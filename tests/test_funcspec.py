@@ -70,6 +70,26 @@ def test_table_hex_round_trip():
     assert np.array_equal(f.values(), 2.0 * np.array(want) - 1.0)
 
 
+def test_table_hex_past_64_bits():
+    # values of 2^63 and above do not fit a C long; bit m is still entry m
+    assert np.array_equal(
+        parse_function("table(ffffffffffffffff)").build().values(),
+        np.ones(64))
+    top = parse_function("table(8000000000000000)").build().values()
+    assert np.array_equal(np.flatnonzero(top > 0), [63])
+
+
+@given(st.integers(2, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_table_hex_matches_integer_shift(n, data):
+    # below 2^63 the table is the integer's bits, lowest bit first
+    val = data.draw(st.integers(0, min(2 ** (1 << n), 2 ** 63) - 1))
+    text = "table(%0*x)" % ((1 << n) // 4, val)
+    bits = (val >> np.arange(1 << n)) & 1
+    assert np.array_equal(parse_function(text).build().values(),
+                          2.0 * bits - 1.0)
+
+
 def test_table_size_validation():
     with pytest.raises(FunctionSpecError):
         parse_function("table(abc)")  # 12 bits, not a power of two

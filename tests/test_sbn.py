@@ -26,13 +26,13 @@ from boolcube import (
 )
 from boolcube.estimators import ema_mean_and_variance
 from boolcube.nets import sigmoid
+from boolcube.operators import _smoothed_mc
 from boolcube.sbn import (
     LOG_VAR_FLOOR,
     _clamp,
     _integrand,
     _local_value_grad,
     _sample_latents,
-    _smoothed_g,
 )
 
 PROBE_KINDS = ("reinforce", "reinforce_const_baseline", "muprop",
@@ -169,7 +169,7 @@ def test_smoothed_g_keeps_everything_at_rho_one():
     model, qnet, baselines = toy_probe()
     x = np.where(stream(54).random((6, 4)) < 0.5, 1.0, -1.0)
     p = np.full((6, 4), 0.3)
-    got = _smoothed_g(baselines.g[0], x, p, rho=1.0, k=1, rng=stream(55))
+    got = _smoothed_mc(baselines.g[0].value, x, p, rho=1.0, k=1, rng=stream(55))
     assert np.array_equal(got, baselines.g[0].value(x))
 
 
