@@ -6,7 +6,8 @@ and a momentum accumulator.  No autodiff; callers control exactly which
 gradients flow.
 
 Sign convention: Momentum.ascend moves parameters UP the supplied
-gradient (we maximize objectives); pass negated gradients to descend.
+gradient (we maximize objectives); pass negated gradients, or a
+negative rate, to descend.
 """
 
 from __future__ import annotations
@@ -52,12 +53,15 @@ def bern_ll_grad_s(t: np.ndarray) -> np.ndarray:
 
 
 def _act(name: str):
+    """The activation, applied in place, and its derivative, written in
+    terms of the activation's output."""
     if name == "tanh":
-        return np.tanh, lambda pre, out: 1.0 - out * out
+        return (lambda z: np.tanh(z, out=z)), (lambda out: 1.0 - out * out)
     if name == "relu":
-        return (lambda z: np.maximum(z, 0.0)), (lambda pre, out: (pre > 0.0) * 1.0)
+        return ((lambda z: np.maximum(z, 0.0, out=z)),
+                (lambda out: (out > 0.0) * 1.0))
     if name == "identity":
-        return (lambda z: z), (lambda pre, out: np.ones_like(pre))
+        return (lambda z: z), (lambda out: np.ones_like(out))
     raise ValueError("unknown activation %r" % name)
 
 
@@ -71,7 +75,9 @@ class Affine:
         self.b = np.zeros(n_out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.W.T + self.b
+        out = x @ self.W.T
+        out += self.b
+        return out
 
     def grads(self, x: np.ndarray, dout: np.ndarray):
         """Parameter grads and input grad for a batch: dout is (B, n_out)."""
@@ -85,7 +91,8 @@ class MLP:
     """Feedforward net with a scalar head: sizes like (n_in, h1, h2, 1).
 
     Hidden layers share one activation; the head is linear.  forward
-    returns the (B,) outputs plus a cache for backward.
+    returns the (B,) outputs plus a cache for backward: each layer's
+    input, the last hidden layer's activations being the head's input.
     """
 
     def __init__(self, rng: np.random.Generator, sizes: tuple[int, ...],
@@ -98,25 +105,22 @@ class MLP:
         self._act, self._dact = _act(hidden_act)
 
     def forward(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        inputs, pres, outs = [], [], []
-        h = x
+        h = np.asarray(x, dtype=np.float64)
+        inputs = []
         for k, layer in enumerate(self.layers):
             inputs.append(h)
             z = layer.forward(h)
-            pres.append(z)
             h = self._act(z) if k < len(self.layers) - 1 else z
-            outs.append(h)
-        return h[:, 0], (inputs, pres, outs)
+        return h[:, 0], inputs
 
     def backward(self, cache, dout: np.ndarray):
         """dout is (B,) on the scalar output; returns (param grads, dx)."""
-        inputs, pres, outs = cache
+        inputs = cache
         grads: list[np.ndarray] = []
         d = np.asarray(dout, dtype=np.float64)[:, None]
         for k in range(len(self.layers) - 1, -1, -1):
             if k < len(self.layers) - 1:
-                d = d * self._dact(pres[k], outs[k])
+                d = d * self._dact(inputs[k + 1])
             gW, gb, d = self.layers[k].grads(inputs[k], d)
             grads.append(gb)
             grads.append(gW)
@@ -139,19 +143,36 @@ class MLP:
 
 
 class Momentum:
-    """Classic momentum accumulator over a fixed parameter list."""
+    """Classic momentum accumulator over a fixed parameter list.
+
+    The velocity is one flat vector in parameter order, so a step is a
+    few whole-vector operations plus one in-place add per parameter,
+    made through a flat view of it; parameters must be C-contiguous.
+    """
 
     def __init__(self, params: list[np.ndarray], momentum: float):
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+        if not all(p.flags.c_contiguous for p in params):
+            raise ValueError("parameters must be C-contiguous")
         self.params = params
         self.momentum = momentum
-        self.vel = [np.zeros_like(p) for p in params]
+        self._views, start = [], 0
+        for p in params:
+            self._views.append((p.reshape(-1), slice(start, start + p.size)))
+            start += p.size
+        self._vel = np.zeros(start)
 
     def ascend(self, grads: list[np.ndarray], lr: float):
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list length mismatch")
-        for p, v, g in zip(self.params, self.vel, grads):
-            v *= self.momentum
-            v += g
-            p += lr * v
+        """Move every parameter along its gradient: grads holds them in
+        parameter order, one array per parameter or already concatenated
+        into flat pieces."""
+        g = np.concatenate([a.ravel() for a in grads])
+        if g.size != self._vel.size:
+            raise ValueError("gradient size mismatch")
+        v = self._vel
+        v *= self.momentum
+        v += g
+        step = lr * v
+        for flat, sl in self._views:
+            flat += step[sl]

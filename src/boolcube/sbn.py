@@ -26,16 +26,17 @@ the clamped density; away from saturation the two coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cube import MAX_N, PROB_FLOOR, ProductDistribution, enumerate_points
+from .cube import (MAX_N, PROB_FLOOR, ProductDistribution, enumerate_points,
+                   weights)
 from .estimators import (
     EstimatorConfig,
-    MeanTaylor,
     _contributions,
+    _require_tables,
     ema_mean_and_variance,
-    expected_value_by_enumeration,
 )
 from .fourier import BooleanFunction
 from .nets import (
@@ -47,7 +48,7 @@ from .nets import (
     bern_ll_grad_t,
     sigmoid,
 )
-from .operators import _smoothed_mc
+from .operators import _smoothed_mc, noise_exact
 from .rng import stream
 
 __all__ = [
@@ -201,36 +202,53 @@ def build_toy(widths: tuple[int, ...], obs_width: int, seed: int,
 
 def _sample_latents(model: SbnModel, qnet: InferenceNet, y: np.ndarray,
                     rng: np.random.Generator):
-    """Layerwise samples, clamped probabilities, and raw logits."""
-    xs, probs, logits = [], [], []
+    """Layerwise samples, clamped probabilities, and each layer's raw
+    sigma(t) from before the clamp."""
+    xs, probs, raw = [], [], []
     inp = y
     for li in range(len(model.widths)):
-        t = qnet.logits(li, inp)
-        p = _clamp(sigmoid(t))
+        s = sigmoid(qnet.logits(li, inp))
+        p = _clamp(s)
         u = rng.random(p.shape)
         x = np.where(u < p, 1.0, -1.0)
         xs.append(x)
         probs.append(p)
-        logits.append(t)
+        raw.append(s)
         inp = x
-    return xs, probs, logits
+    return xs, probs, raw
+
+
+class _Pieces(NamedTuple):
+    """What the integrand computes on its way to R: each decoder link's
+    logits t[j] and the per-row log-likelihood ll[j] of its target (y
+    for link 0, x_j above), the prior's per-row log-likelihood, and
+    log p, log(1 - p) of every q layer."""
+
+    t: list
+    ll: list
+    prior_ll: np.ndarray
+    log_p: list
+    log_1mp: list
 
 
 def _integrand(model: SbnModel, xs: list[np.ndarray], probs: list[np.ndarray],
                y: np.ndarray):
-    """R = log p(y|x) + log p(x) - log q(x|y) per batch row, plus the
-    decoder logits for reuse in pathwise gradients."""
-    t_list = [model.links[0].forward(xs[0])]
-    loglik = bern_ll(y, t_list[0]).sum(axis=1)
-    logp = bern_ll(xs[-1], model.prior).sum(axis=1)
-    for j in range(1, len(xs)):
-        tj = model.links[j].forward(xs[j])
-        t_list.append(tj)
-        logp += bern_ll(xs[j - 1], tj).sum(axis=1)
+    """R = log p(y|x) + log p(x) - log q(x|y) per batch row, its three
+    terms, and the pieces they were built from."""
+    t = [link.forward(x) for link, x in zip(model.links, xs)]
+    ll = [bern_ll(target, tj).sum(axis=1)
+          for target, tj in zip([y] + xs[:-1], t)]
+    prior_ll = bern_ll(xs[-1], model.prior).sum(axis=1)
+    logp = prior_ll
+    for lj in ll[1:]:
+        logp = logp + lj
+    log_p = [np.log(p) for p in probs]
+    log_1mp = [np.log1p(-p) for p in probs]
     logq = np.zeros(y.shape[0])
-    for x, p in zip(xs, probs):
-        logq += np.where(x > 0, np.log(p), np.log1p(-p)).sum(axis=1)
-    return loglik + logp - logq, loglik, logp, logq, t_list
+    for x, lp, l1p in zip(xs, log_p, log_1mp):
+        logq += np.where(x > 0, lp, l1p).sum(axis=1)
+    return (ll[0] + logp - logq, ll[0], logp, logq,
+            _Pieces(t, ll, prior_ll, log_p, log_1mp))
 
 
 def _local_value_grad(model: SbnModel, qnet: InferenceNet,
@@ -241,58 +259,124 @@ def _local_value_grad(model: SbnModel, qnet: InferenceNet,
     involving layer li) are omitted; callers only use differences and
     gradients, so they never need them.
     """
-    L = len(model.widths)
+    tp = (model.prior if li == len(model.widths) - 1
+          else model.links[li + 1].forward(xs[li + 1]))
     p = probs[li]
-    # outcome terms: + log p(s | above) - log q(s | below), both linear in s
-    tp = model.prior if li == L - 1 else model.links[li + 1].forward(xs[li + 1])
-    lp, l1p = np.log(p), np.log1p(-p)
-    val = bern_ll(s, tp).sum(axis=1)
-    val -= (0.5 * (1.0 + s) * lp + 0.5 * (1.0 - s) * l1p).sum(axis=1)
-    grad = bern_ll_grad_s(tp) - 0.5 * (lp - l1p)
-    grad = np.broadcast_to(grad, s.shape).copy()
-    # input terms: s feeds the logits of the layer below (or the observation)
+    return _local_at(model, qnet, xs, y, li, s, tp, np.log(p), np.log1p(-p))
+
+
+def _local_at(model: SbnModel, qnet: InferenceNet, xs: list[np.ndarray],
+              y: np.ndarray, li: int, s: np.ndarray, tp: np.ndarray,
+              lp: np.ndarray, l1p: np.ndarray):
+    """_local_value_grad given the logits tp of s's outcome terms and
+    layer li's log p and log(1 - p)."""
     below = y if li == 0 else xs[li - 1]
     link = model.links[li]
     t_b = s @ link.W.T + link.b
-    val += bern_ll(below, t_b).sum(axis=1)
-    grad += bern_ll_grad_t(below, t_b) @ link.W
-    # and, when not the top layer, the logits of the layer above's q
-    if li < L - 1:
+    return _local_sum(model, qnet, xs, li, s, tp, lp, l1p,
+                      bern_ll(s, tp).sum(axis=1),
+                      bern_ll(below, t_b).sum(axis=1),
+                      bern_ll_grad_t(below, t_b))
+
+
+def _local_sum(model: SbnModel, qnet: InferenceNet, xs: list[np.ndarray],
+               li: int, s: np.ndarray, tp: np.ndarray, lp: np.ndarray,
+               l1p: np.ndarray, above_ll: np.ndarray, below_ll: np.ndarray,
+               below_dt: np.ndarray):
+    """The local value and gradient from their terms.  Outcome terms,
+    linear in s: + log p(s | above) (above_ll, under logits tp) and
+    - log q(s | below) (from lp, l1p).  Input terms: s feeds the logits
+    of the layer below or the observation (below_ll, with logit
+    gradient below_dt) and, when not the top layer, those of the layer
+    above's q."""
+    val = above_ll - (0.5 * (1.0 + s) * lp
+                      + 0.5 * (1.0 - s) * l1p).sum(axis=1) + below_ll
+    grad = bern_ll_grad_s(tp) - 0.5 * (lp - l1p) + below_dt @ model.links[li].W
+    if li < len(model.widths) - 1:
         vl = qnet.links[li + 1]
         t_u = s @ vl.W.T + vl.b
-        val -= bern_ll(xs[li + 1], t_u).sum(axis=1)
-        grad -= bern_ll_grad_t(xs[li + 1], t_u) @ vl.W
+        val = val - bern_ll(xs[li + 1], t_u).sum(axis=1)
+        grad = grad - bern_ll_grad_t(xs[li + 1], t_u) @ vl.W
     return val, grad
 
 
-def _layer_contributions(est: EstimatorConfig, model: SbnModel,
-                         qnet: InferenceNet, baselines: SbnBaselines,
-                         xs: list[np.ndarray], probs: list[np.ndarray],
-                         y: np.ndarray, li: int, R: np.ndarray,
+class _Draw:
+    """One latent draw for the batch y and the pieces of a step at it,
+    each computed once: the integrand and its pieces at construction;
+    the decoder logit gradients, the local oracle at the sample and the
+    g nets' forward passes on first use."""
+
+    def __init__(self, model: SbnModel, qnet: InferenceNet,
+                 baselines: SbnBaselines, y: np.ndarray,
+                 rng: np.random.Generator):
+        self.model, self.qnet, self.baselines, self.y = (
+            model, qnet, baselines, y)
+        self.xs, self.probs, self.raw = _sample_latents(model, qnet, y, rng)
+        self.R, _, _, _, self.pieces = _integrand(model, self.xs, self.probs,
+                                                  y)
+        self._memo: dict = {}
+
+    def _once(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def decoder_grad(self, j: int) -> np.ndarray:
+        """Gradient of ll[j] in link j's logits."""
+        target = self.y if j == 0 else self.xs[j - 1]
+        return self._once(("dt", j), lambda: bern_ll_grad_t(
+            target, self.pieces.t[j]))
+
+    def g_forward(self, li: int):
+        """Layer li's g net at the sample: (values, backward cache)."""
+        return self._once(("g", li), lambda: self.baselines.g[li].forward(
+            self.xs[li]))
+
+    def _above(self, li: int):
+        """The logits of layer li's outcome terms, and the per-row
+        log-likelihood of its sample under them: the prior's for the top
+        layer, link li+1's otherwise."""
+        pc = self.pieces
+        if li == len(self.xs) - 1:
+            return self.model.prior, pc.prior_ll
+        return pc.t[li + 1], pc.ll[li + 1]
+
+    def local_at_sample(self, li: int):
+        """_local_value_grad at s = xs[li], assembled from the pieces."""
+        pc = self.pieces
+        tp, above_ll = self._above(li)
+        return self._once(("local", li), lambda: _local_sum(
+            self.model, self.qnet, self.xs, li, self.xs[li], tp,
+            pc.log_p[li], pc.log_1mp[li], above_ll, pc.ll[li],
+            self.decoder_grad(li)))
+
+    def local_at(self, li: int, s: np.ndarray):
+        """_local_value_grad at s; only s's own link products are new."""
+        pc = self.pieces
+        return _local_at(self.model, self.qnet, self.xs, self.y, li, s,
+                         self._above(li)[0], pc.log_p[li], pc.log_1mp[li])
+
+
+def _layer_contributions(est: EstimatorConfig, draw: _Draw, li: int,
                          b_val: np.ndarray,
                          rng_inner: np.random.Generator) -> np.ndarray:
     """Per-unit estimator contributions (units d/dp) for layer li."""
-    x, p = xs[li], probs[li]
+    x, p = draw.xs[li], draw.probs[li]
     mu = 2.0 * p - 1.0
-    gnet = baselines.g[li]
-    at_x = []
-
-    def local_at_x():
-        if not at_x:
-            at_x.append(_local_value_grad(model, qnet, xs, probs, y, li, x))
-        return at_x[0]
+    gnet = draw.baselines.g[li]
 
     def first_order():
         # The local integrand omits terms free of layer li; measured from
         # its value at mu, its Taylor value there is 0.
-        v_mu, g_mu = _local_value_grad(model, qnet, xs, probs, y, li, mu)
-        return local_at_x()[0] - v_mu, 0.0, g_mu
+        v_mu, g_mu = draw.local_at(li, mu)
+        return draw.local_at_sample(li)[0] - v_mu, 0.0, g_mu
 
     return _contributions(
-        est, x, p, mu, f=lambda: R, g=lambda: gnet.value(x),
+        est, x, p, mu, f=lambda: draw.R, g=lambda: draw.g_forward(li)[0],
         smoothed=lambda rho: _smoothed_mc(gnet.value, x, p, rho,
                                           est.t_rho_samples, rng_inner),
-        taylor=first_order, deriv=lambda: local_at_x()[1], baseline=b_val)
+        taylor=first_order, deriv=lambda: draw.local_at_sample(li)[1],
+        baseline=b_val)
 
 
 def elbo_sample(model: SbnModel, qnet: InferenceNet, y: np.ndarray,
@@ -327,10 +411,18 @@ class Trainer:
         self.model, self.qnet, self.baselines, self.cfg = (
             model, qnet, baselines, cfg)
         m = cfg.momentum
-        self.mom_model = Momentum(model.params(), m)
-        self.mom_q = Momentum(qnet.params(), m)
-        self.mom_b = Momentum(baselines.b.params(), m)
-        self.mom_g = [Momentum(g.params(), m) for g in baselines.g]
+        # One accumulator per learning rate: the inference net and the
+        # generative model ascend; the baseline nets descend their losses
+        # at the scaled rate, that is ascend at its negative (momentum is
+        # odd in the gradient, so this matches negated gradients bit for
+        # bit).
+        ascent = qnet.params() + model.params()
+        descent = baselines.b.params()
+        if not cfg.freeze_g:
+            descent += [p for g in baselines.g for p in g.params()]
+        self.mom_ascent = Momentum(ascent, m)
+        self.mom_descent = Momentum(descent, m)
+        self._n_ascent = sum(p.size for p in ascent)
         self._ema: dict[int, list[np.ndarray]] = {}
 
     def _track(self, li: int, flat: np.ndarray) -> float:
@@ -355,60 +447,50 @@ class Trainer:
         """One update on minibatch y; returns (mean ELBO, per-layer
         log-variance of the q parameter gradient EMA)."""
         cfg, est = self.cfg, self.cfg.estimator
-        model, qnet, baselines = self.model, self.qnet, self.baselines
+        model, baselines = self.model, self.baselines
         B = y.shape[0]
         L = len(model.widths)
-        xs, probs, logits = _sample_latents(model, qnet, y, rng_latent)
-        R, _, _, _, t_list = _integrand(model, xs, probs, y)
+        draw = _Draw(model, self.qnet, baselines, y, rng_latent)
+        xs, R = draw.xs, draw.R
         if not np.all(np.isfinite(R)):
             raise TrainingDiverged(step_index, "ELBO")
         b_val, b_cache = baselines.b.forward(y)
 
         # inference-net gradients via the configured estimator
-        q_grads: list[np.ndarray] = []
+        grads: list[np.ndarray] = []
         logvars: list[float] = []
         for li in range(L):
-            contrib = _layer_contributions(est, model, qnet, baselines, xs,
-                                           probs, y, li, R, b_val, rng_inner)
-            s = sigmoid(logits[li])
+            contrib = _layer_contributions(est, draw, li, b_val, rng_inner)
+            s = draw.raw[li]
             grad_t = contrib * s * (1.0 - s)
             inp = y if li == 0 else xs[li - 1]
             gW = grad_t.T @ inp / B
-            gb = grad_t.mean(axis=0)
-            q_grads.extend([gW, gb])
+            gb = grad_t.sum(axis=0) / B
+            grads.extend([gW, gb])
             logvars.append(self._track(li, np.concatenate([gW.ravel(), gb])))
 
         # decoder and prior, pathwise
-        p_grads: list[np.ndarray] = [bern_ll_grad_t(xs[-1], model.prior).mean(axis=0)]
-        d0 = bern_ll_grad_t(y, t_list[0])
-        p_grads.extend([d0.T @ xs[0] / B, d0.mean(axis=0)])
-        for j in range(1, L):
-            dj = bern_ll_grad_t(xs[j - 1], t_list[j])
-            p_grads.extend([dj.T @ xs[j] / B, dj.mean(axis=0)])
+        grads.append(bern_ll_grad_t(xs[-1], model.prior).sum(axis=0) / B)
+        for j in range(L):
+            dj = draw.decoder_grad(j)
+            grads.extend([dj.T @ xs[j] / B, dj.sum(axis=0) / B])
 
         # baseline regressions (targets use pre-update values)
-        b_grads, _ = baselines.b.backward(b_cache, (b_val - R) / B)
-        g_grads = []
+        grads.extend(baselines.b.backward(b_cache, (b_val - R) / B)[0])
         if not cfg.freeze_g:
             target = R - b_val
             for li in range(L):
-                g_val, g_cache = baselines.g[li].forward(xs[li])
-                gg, _ = baselines.g[li].backward(g_cache, (g_val - target) / B)
-                g_grads.append(gg)
+                g_val, g_cache = draw.g_forward(li)
+                grads.extend(baselines.g[li].backward(
+                    g_cache, (g_val - target) / B)[0])
 
-        for grads in (q_grads, p_grads, b_grads, *g_grads):
-            for g in grads:
-                if not np.all(np.isfinite(g)):
-                    raise TrainingDiverged(step_index, "gradient")
+        flat = np.concatenate([g.ravel() for g in grads])
+        if not np.isfinite(flat).all():
+            raise TrainingDiverged(step_index, "gradient")
 
-        lr = cfg.learning_rate
-        self.mom_q.ascend(q_grads, lr)
-        self.mom_model.ascend(p_grads, lr)
-        self.mom_b.ascend([-g for g in b_grads], lr * cfg.baseline_lr_scale)
-        if not cfg.freeze_g:
-            for li in range(L):
-                self.mom_g[li].ascend([-g for g in g_grads[li]],
-                                      lr * cfg.baseline_lr_scale)
+        lr, n = cfg.learning_rate, self._n_ascent
+        self.mom_ascent.ascend([flat[:n]], lr)
+        self.mom_descent.ascend([flat[n:]], -lr * cfg.baseline_lr_scale)
         return float(R.mean()), logvars
 
 
@@ -543,33 +625,47 @@ def expected_q_logit_gradient(model: SbnModel, qnet: InferenceNet,
     """Exact expected q-logit gradient of the configured estimator, by
     enumeration over latent configurations (inner smoothing exact).
 
-    Reuses the library enumeration oracle: R becomes a truth table over
-    the latent cube under the posterior product distribution, and the
-    trainer's network oracles (surrogate g, baseline b, Taylor data at
-    the conditional mean, relaxed derivatives) are tabulated the same
-    way the training step computes them.
+    Runs the estimator kernel over every latent configuration, weighted
+    by its probability under the posterior product distribution, with R
+    as the truth table.  The trainer's network oracles (surrogate g and
+    its exact smoothing, baseline b, Taylor data at the conditional
+    mean, relaxed derivatives) are tabulated the way the training step
+    computes them, and only when the kind asks for them.
     """
     configs, p, t_q, logq, R = _posterior_context(model, qnet, y)
     w = model.widths[0]
+    _require_tables(BooleanFunction(w, table=R))
     y_row = np.asarray(y, dtype=np.float64)[None, :]
     dist = ProductDistribution(p)
-    f = BooleanFunction(w, table=R)
-    g_table = baselines.g[0].value(configs)
-    g_fun = BooleanFunction(w, table=g_table)
-    b_val = float(baselines.b.value(y_row)[0])
-    xs_dummy = [configs[:1]]
-    probs = [p[None, :]]
-    mu = (2.0 * p - 1.0)[None, :]
-    v_mu, g_mu = _local_value_grad(model, qnet, xs_dummy, probs, y_row, 0, mu)
-    taylor = MeanTaylor(value=float(v_mu[0]), gradient=g_mu[0])
-    y_tiled = np.broadcast_to(y_row, (configs.shape[0], y_row.shape[1]))
-    probs_full = [np.broadcast_to(p, configs.shape)]
-    _, grads = _local_value_grad(model, qnet, [configs], probs_full, y_tiled,
-                                 0, configs)
-    ev = expected_value_by_enumeration(est, f, dist, g=g_fun, baseline=b_val,
-                                       taylor=taylor, derivs=grads.T)
+    pts = enumerate_points(w)
+    g_fun: list[BooleanFunction] = []
+
+    def g() -> BooleanFunction:
+        if not g_fun:
+            g_fun.append(BooleanFunction(
+                w, table=baselines.g[0].value(configs)))
+        return g_fun[0]
+
+    def first_order():
+        v_mu, g_mu = _local_value_grad(model, qnet, [configs[:1]],
+                                       [p[None, :]], y_row, 0,
+                                       dist.mu[None, :])
+        return R, float(v_mu[0]), g_mu[0]
+
+    def deriv():
+        y_tiled = np.broadcast_to(y_row, (configs.shape[0], y_row.shape[1]))
+        return _local_value_grad(model, qnet, [configs],
+                                 [np.broadcast_to(p, configs.shape)],
+                                 y_tiled, 0, configs)[1]
+
+    m = _contributions(
+        est, pts, dist.probs, dist.mu, f=lambda: R,
+        g=lambda: g().batch(pts),
+        smoothed=lambda rho: noise_exact(g(), rho, dist).batch(pts),
+        taylor=first_order, deriv=deriv,
+        baseline=float(baselines.b.value(y_row)[0]))
     raw = sigmoid(t_q)
-    return ev * raw * (1.0 - raw)
+    return (weights(dist) @ m) * raw * (1.0 - raw)
 
 
 def sample_q_logit_gradients(model: SbnModel, qnet: InferenceNet,
@@ -582,14 +678,10 @@ def sample_q_logit_gradients(model: SbnModel, qnet: InferenceNet,
         raise ValueError("probe sampling supports single-layer models")
     y_tiled = np.broadcast_to(np.asarray(y, dtype=np.float64),
                               (samples, model.obs_width)).copy()
-    rng_latent = stream(seed, 1, 0)
-    rng_inner = stream(seed, 2, 0)
-    xs, probs, logits = _sample_latents(model, qnet, y_tiled, rng_latent)
-    R, _, _, _, _ = _integrand(model, xs, probs, y_tiled)
-    b_val = baselines.b.value(y_tiled)
-    contrib = _layer_contributions(est, model, qnet, baselines, xs, probs,
-                                   y_tiled, 0, R, b_val, rng_inner)
-    s = sigmoid(logits[0])
+    draw = _Draw(model, qnet, baselines, y_tiled, stream(seed, 1, 0))
+    contrib = _layer_contributions(est, draw, 0, baselines.b.value(y_tiled),
+                                   stream(seed, 2, 0))
+    s = draw.raw[0]
     return contrib * s * (1.0 - s)
 
 

@@ -24,6 +24,27 @@ def test_log_sigmoid_stable_at_extremes():
     assert np.isfinite(log_sigmoid(np.array([-1e6, 0.0, 1e6]))).all()
 
 
+def _two_pass_log_sigmoid(t):
+    return -np.logaddexp(0.0, -t)
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.3, 1.0])
+def test_one_pass_forms_match_two_pass_reference(s):
+    # log sigma and the Bernoulli log-likelihood against the two-pass
+    # logaddexp forms: relative error at most 1e-15, and exactly 0 where
+    # the reference is.  At s = -1 and t << 0 the log-likelihood is
+    # -log1p(exp(t)), which log_sigmoid(t) - t would round away.
+    t = np.concatenate([np.linspace(-800.0, 800.0, 64001),
+                        [-1e6, 1e6, -745.2, -37.5, -1e-300, 0.0, 1e-300]])
+    want_ls = _two_pass_log_sigmoid(t)
+    want_ll = (0.5 * (1.0 + s) * _two_pass_log_sigmoid(t)
+               + 0.5 * (1.0 - s) * _two_pass_log_sigmoid(-t))
+    for got, want in ((log_sigmoid(t), want_ls), (bern_ll(s, t), want_ll)):
+        nz = want != 0.0
+        assert np.all(got[~nz] == 0.0)
+        assert np.max(np.abs(got[nz] - want[nz]) / np.abs(want[nz])) <= 1e-15
+
+
 def test_sigmoid_matches_closed_form():
     t = np.linspace(-20.0, 20.0, 41)
     assert np.max(np.abs(sigmoid(t) - 1.0 / (1.0 + np.exp(-t)))) < 1e-12

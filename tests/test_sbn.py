@@ -5,7 +5,9 @@ import pytest
 
 from boolcube import (
     EstimatorConfig,
+    ProductDistribution,
     TrainConfig,
+    Trainer,
     TrainingDiverged,
     bars_dataset,
     build_toy,
@@ -24,14 +26,22 @@ from boolcube import (
     train,
     variance_ema_track,
 )
-from boolcube.estimators import ema_mean_and_variance
+from boolcube.estimators import (
+    KINDS,
+    MeanTaylor,
+    ema_mean_and_variance,
+    expected_value_by_enumeration,
+)
+from boolcube.fourier import BooleanFunction
 from boolcube.nets import sigmoid
 from boolcube.operators import _smoothed_mc
 from boolcube.sbn import (
     LOG_VAR_FLOOR,
     _clamp,
+    _Draw,
     _integrand,
     _local_value_grad,
+    _posterior_context,
     _sample_latents,
 )
 
@@ -165,6 +175,25 @@ def test_local_grad_matches_finite_differences():
                 (v_hi[0] - v_lo[0]) / (2.0 * h), abs=1e-6)
 
 
+@pytest.mark.parametrize("widths", [(4,), (4, 3), (4, 3, 2)])
+def test_shared_pieces_match_standalone_local_oracle(widths):
+    # a step builds the local oracle at the sample from the integrand's
+    # pieces and at the mean from the shared logits and logs; both must
+    # be bit for bit what the standalone oracle computes
+    model, qnet, baselines = build_toy(widths, 6, seed=21,
+                                       baseline_hidden=8, g_hidden=8)
+    y = np.where(stream(22).random((5, 6)) < 0.5, 1.0, -1.0)
+    draw = _Draw(model, qnet, baselines, y, stream(23))
+    for li in range(len(widths)):
+        for s, got in ((draw.xs[li], draw.local_at_sample(li)),
+                       (2.0 * draw.probs[li] - 1.0,
+                        draw.local_at(li, 2.0 * draw.probs[li] - 1.0))):
+            want = _local_value_grad(model, qnet, draw.xs, draw.probs, y,
+                                     li, s)
+            assert np.array_equal(got[0], want[0]), (widths, li)
+            assert np.array_equal(got[1], want[1]), (widths, li)
+
+
 def test_smoothed_g_keeps_everything_at_rho_one():
     model, qnet, baselines = toy_probe()
     x = np.where(stream(54).random((6, 4)) < 0.5, 1.0, -1.0)
@@ -203,6 +232,59 @@ def test_sampled_gradients_concentrate_on_expectation():
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         dev = np.abs(draws.mean(axis=0) - want)
         assert np.all(dev < 4.0 * se + 1e-12), kind
+
+
+@pytest.mark.parametrize("kind", KINDS + ("taylor_at_sample",))
+def test_expected_gradient_matches_library_oracle(kind):
+    # the kernel over the enumerated configurations, tabulating only what
+    # the kind uses, equals the library oracle fed every table
+    est = (EstimatorConfig("combined", taylor_at_sample=True)
+           if kind == "taylor_at_sample" else EstimatorConfig(kind))
+    model, qnet, baselines = toy_probe()
+    y = probe_observation()
+    y_row = y[None, :]
+    configs, p, t_q, _, R = _posterior_context(model, qnet, y)
+    raw = sigmoid(t_q)
+    v_mu, g_mu = _local_value_grad(model, qnet, [configs[:1]], [p[None, :]],
+                                   y_row, 0, (2.0 * p - 1.0)[None, :])
+    _, grads = _local_value_grad(model, qnet, [configs],
+                                 [np.broadcast_to(p, configs.shape)],
+                                 np.broadcast_to(y_row, (16, 6)), 0, configs)
+    want = expected_value_by_enumeration(
+        est, BooleanFunction(4, table=R), ProductDistribution(p),
+        g=BooleanFunction(4, table=baselines.g[0].value(configs)),
+        baseline=float(baselines.b.value(y_row)[0]),
+        taylor=MeanTaylor(value=float(v_mu[0]), gradient=g_mu[0]),
+        derivs=grads.T) * raw * (1.0 - raw)
+    got = expected_q_logit_gradient(model, qnet, baselines, y, est)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["reinforce", "muprop", "combined"])
+def test_sampled_gradients_are_the_training_step_rows(kind):
+    # the probe runs the step's own path: a step on the observation
+    # tiled `samples` times, with the probe's streams, averages exactly
+    # the probe's rows into its q-logit parameter gradient
+    samples = 24
+    y = probe_observation()
+    model, qnet, baselines = toy_probe()
+    est = EstimatorConfig(kind, rho=0.5)
+    rows = sample_q_logit_gradients(model, qnet, baselines, y, est, samples,
+                                    seed=59)
+    y_tiled = np.tile(y, (samples, 1))
+    seen = []
+
+    class Recording(Trainer):
+        def _track(self, li, flat):
+            seen.append(flat.copy())
+            return super()._track(li, flat)
+
+    trainer = Recording(model, qnet, baselines,
+                        TrainConfig(estimator=est, steps=1, seed=0))
+    trainer.step(y_tiled, stream(59, 1, 0), stream(59, 2, 0))
+    want = np.concatenate([(rows.T @ y_tiled / samples).ravel(),
+                           rows.sum(axis=0) / samples])
+    assert np.array_equal(seen[0], want)
 
 
 def test_sampled_gradients_deterministic():
@@ -296,6 +378,25 @@ def test_training_diverged_carries_step():
         with pytest.raises(TrainingDiverged) as err:
             train(model, qnet, baselines, data, tiny_cfg("reinforce", steps=5))
     assert err.value.step == 0
+
+
+@pytest.mark.parametrize("kind", ["reinforce", "combined"])
+@pytest.mark.parametrize("net", ["b", "g"])
+def test_non_finite_gradient_stops_before_any_update(net, kind):
+    data = bars_dataset(8, seed=7)
+    model, qnet, baselines = build_toy((3,), 36, seed=64,
+                                       baseline_hidden=8, g_hidden=8)
+    mlp = baselines.b if net == "b" else baselines.g[0]
+    mlp.layers[0].W[0, 0] = np.nan
+    named = named_parameters(model, qnet, baselines)
+    before = {k: v.copy() for k, v in named.items()}
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingDiverged,
+                           match="non-finite gradient at step 0") as err:
+            train(model, qnet, baselines, data, tiny_cfg(kind, steps=5))
+    assert err.value.step == 0
+    for k, v in named.items():
+        assert np.array_equal(v, before[k], equal_nan=True), k
 
 
 def test_train_rejects_minibatch_larger_than_data():
