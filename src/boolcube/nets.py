@@ -27,19 +27,33 @@ __all__ = [
 
 
 def log_sigmoid(t: np.ndarray) -> np.ndarray:
-    """log sigma(t), stable for large |t|."""
-    return -np.logaddexp(0.0, -np.asarray(t, dtype=np.float64))
+    """log sigma(t) = min(t, 0) - log1p(exp(-|t|)): one exp and one
+    log1p, finite for every finite t."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.minimum(t, 0.0) - np.log1p(np.exp(-np.abs(t)))
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
-    return np.exp(log_sigmoid(t))
+    """sigma(t) = exp(min(t, 0)) / (1 + exp(-|t|)), from one exp."""
+    t = np.asarray(t, dtype=np.float64)
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def bern_ll(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """log probability of outcome s in {-1,+1} under logit t, extended
-    linearly to fractional s: ((1+s)/2) log sigma(t) + ((1-s)/2) log sigma(-t)."""
+    linearly to fractional s: ((1+s)/2) log sigma(t) + ((1-s)/2) log sigma(-t).
+
+    Since log sigma(-t) = log sigma(t) - t, this is
+    min(t, 0) - ((1-s)/2) t - log1p(exp(-|t|)), one pass.  The first two
+    terms are summed before the log1p term: at s = -1 and t << 0 they
+    cancel exactly, where log_sigmoid(t) - t would lose the log1p term's
+    relative precision.
+    """
+    t = np.asarray(t, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    return 0.5 * (1.0 + s) * log_sigmoid(t) + 0.5 * (1.0 - s) * log_sigmoid(-t)
+    return (np.minimum(t, 0.0) - 0.5 * (1.0 - s) * t
+            - np.log1p(np.exp(-np.abs(t))))
 
 
 def bern_ll_grad_t(s: np.ndarray, t: np.ndarray) -> np.ndarray:
