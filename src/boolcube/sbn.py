@@ -26,6 +26,7 @@ the clamped density; away from saturation the two coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -638,13 +639,10 @@ def expected_q_logit_gradient(model: SbnModel, qnet: InferenceNet,
     y_row = np.asarray(y, dtype=np.float64)[None, :]
     dist = ProductDistribution(p)
     pts = enumerate_points(w)
-    g_fun: list[BooleanFunction] = []
 
+    @cache
     def g() -> BooleanFunction:
-        if not g_fun:
-            g_fun.append(BooleanFunction(
-                w, table=baselines.g[0].value(configs)))
-        return g_fun[0]
+        return BooleanFunction(w, table=baselines.g[0].value(configs))
 
     def first_order():
         v_mu, g_mu = _local_value_grad(model, qnet, [configs[:1]],
