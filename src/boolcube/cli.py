@@ -113,8 +113,8 @@ def _opt_string(key, v):
 
 
 def _probs_text(key, v):
-    """Accept "0.5", "0.25,0.5,...", "random", or a JSON list of numbers;
-    normalize to a canonical string."""
+    """Accept "0.5", "0.25,0.5,...", or a JSON list of numbers; normalize
+    to a canonical string."""
     if isinstance(v, (list, tuple)):
         try:
             vals = [float(x) for x in v]
@@ -124,7 +124,7 @@ def _probs_text(key, v):
     if not isinstance(v, str):
         raise ConfigError("%s: expected a string or list" % key)
     if v == "random":
-        return v
+        raise ConfigError('%s: "random" applies to gradcheck only' % key)
     for tok in v.split(","):
         try:
             x = float(tok)
@@ -133,6 +133,11 @@ def _probs_text(key, v):
         if not 0.0 < x < 1.0:
             raise ConfigError("%s: probabilities must lie in (0, 1)" % key)
     return v
+
+
+def _probs_or_random(key, v):
+    """_probs_text, or "random" for fresh probabilities per instance."""
+    return v if v == "random" else _probs_text(key, v)
 
 
 def _estimator_name(key, v):
@@ -181,7 +186,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "degree": (3, _int_in(1, 10)),
         "density": (0.5, _float_in(0.0, 1.0)),
         "function": (None, _opt_string),
-        "p": ("random", _probs_text),
+        "p": ("random", _probs_or_random),
         "seed": (17, _SEED),
         "out": (".", _string),
     },
@@ -452,6 +457,9 @@ def _run_train(cfg: dict) -> int:
         if data.shape[1] != obs_width:
             raise ConfigError("obs_width %d does not match the generated "
                               "6x6 patterns" % obs_width)
+    if cfg["minibatch"] > data.shape[0]:
+        raise ConfigError("minibatch %d exceeds the dataset's %d rows"
+                          % (cfg["minibatch"], data.shape[0]))
     est = EstimatorConfig(kind=cfg["estimator"], rho=cfg["rho"],
                           alpha=cfg["alpha"], beta=cfg["beta"],
                           t_rho_samples=cfg["k"],

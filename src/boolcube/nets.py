@@ -94,8 +94,8 @@ class Affine:
         return out
 
     def grads(self, x: np.ndarray, dout: np.ndarray):
-        """Parameter grads and input grad for a batch: dout is (B, n_out)."""
-        return dout.T @ x, dout.sum(axis=0), dout @ self.W
+        """Parameter grads (gW, gb) for a batch: dout is (B, n_out)."""
+        return dout.T @ x, dout.sum(axis=0)
 
     def params(self) -> list[np.ndarray]:
         return [self.W, self.b]
@@ -127,19 +127,22 @@ class MLP:
             h = self._act(z) if k < len(self.layers) - 1 else z
         return h[:, 0], inputs
 
-    def backward(self, cache, dout: np.ndarray):
-        """dout is (B,) on the scalar output; returns (param grads, dx)."""
+    def backward(self, cache, dout: np.ndarray) -> list[np.ndarray]:
+        """dout is (B,) on the scalar output; returns the parameter
+        gradients in params() order.  The input's gradient is not
+        formed."""
         inputs = cache
         grads: list[np.ndarray] = []
         d = np.asarray(dout, dtype=np.float64)[:, None]
         for k in range(len(self.layers) - 1, -1, -1):
-            if k < len(self.layers) - 1:
-                d = d * self._dact(inputs[k + 1])
-            gW, gb, d = self.layers[k].grads(inputs[k], d)
+            layer = self.layers[k]
+            gW, gb = layer.grads(inputs[k], d)
             grads.append(gb)
             grads.append(gW)
+            if k > 0:
+                d = (d @ layer.W) * self._dact(inputs[k])
         grads.reverse()
-        return grads, d
+        return grads
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]

@@ -17,28 +17,28 @@ layer's g net.  Contributions (units d/dp) convert to logit gradients
 via sigma'(t), then to parameter gradients.  Decoder and prior are
 updated pathwise; baseline nets by regression.
 
+The exact oracles of a single-layer model (enumerate_elbo,
+expected_q_logit_gradient) run the step's own code on one draw whose
+rows are all 2^w latent configurations, for widths up to cube.MAX_N;
+only the smoothed g is computed exactly there, from the g net's table,
+where the step samples it.
+
 Inference probabilities are clamped to [1e-6, 1-1e-6].  The local
-value/gradient oracles use the smooth logit form for terms where a
-sample feeds another layer, so at a binding clamp they deviate from
+value/gradient oracle uses the smooth logit form for terms where a
+sample feeds another layer, so at a binding clamp it deviates from
 the clamped density; away from saturation the two coincide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .cube import (MAX_N, PROB_FLOOR, ProductDistribution, enumerate_points,
                    weights)
-from .estimators import (
-    EstimatorConfig,
-    _contributions,
-    _require_tables,
-    ema_mean_and_variance,
-)
+from .estimators import EstimatorConfig, _contributions, ema_mean_and_variance
 from .fourier import BooleanFunction
 from .nets import (
     MLP,
@@ -245,76 +245,27 @@ def _integrand(model: SbnModel, xs: list[np.ndarray], probs: list[np.ndarray],
         logp = logp + lj
     log_p = [np.log(p) for p in probs]
     log_1mp = [np.log1p(-p) for p in probs]
-    logq = np.zeros(y.shape[0])
-    for x, lp, l1p in zip(xs, log_p, log_1mp):
-        logq += np.where(x > 0, lp, l1p).sum(axis=1)
+    logq = sum(np.where(x > 0, lp, l1p).sum(axis=1)
+               for x, lp, l1p in zip(xs, log_p, log_1mp))
     return (ll[0] + logp - logq, ll[0], logp, logq,
             _Pieces(t, ll, prior_ll, log_p, log_1mp))
 
 
-def _local_value_grad(model: SbnModel, qnet: InferenceNet,
-                      xs: list[np.ndarray], probs: list[np.ndarray],
-                      y: np.ndarray, li: int, s: np.ndarray):
-    """Value and gradient in s of the ELBO integrand's layer-li-dependent
-    part, other layers held at their samples.  Constants (terms not
-    involving layer li) are omitted; callers only use differences and
-    gradients, so they never need them.
-    """
-    tp = (model.prior if li == len(model.widths) - 1
-          else model.links[li + 1].forward(xs[li + 1]))
-    p = probs[li]
-    return _local_at(model, qnet, xs, y, li, s, tp, np.log(p), np.log1p(-p))
-
-
-def _local_at(model: SbnModel, qnet: InferenceNet, xs: list[np.ndarray],
-              y: np.ndarray, li: int, s: np.ndarray, tp: np.ndarray,
-              lp: np.ndarray, l1p: np.ndarray):
-    """_local_value_grad given the logits tp of s's outcome terms and
-    layer li's log p and log(1 - p)."""
-    below = y if li == 0 else xs[li - 1]
-    link = model.links[li]
-    t_b = s @ link.W.T + link.b
-    return _local_sum(model, qnet, xs, li, s, tp, lp, l1p,
-                      bern_ll(s, tp).sum(axis=1),
-                      bern_ll(below, t_b).sum(axis=1),
-                      bern_ll_grad_t(below, t_b))
-
-
-def _local_sum(model: SbnModel, qnet: InferenceNet, xs: list[np.ndarray],
-               li: int, s: np.ndarray, tp: np.ndarray, lp: np.ndarray,
-               l1p: np.ndarray, above_ll: np.ndarray, below_ll: np.ndarray,
-               below_dt: np.ndarray):
-    """The local value and gradient from their terms.  Outcome terms,
-    linear in s: + log p(s | above) (above_ll, under logits tp) and
-    - log q(s | below) (from lp, l1p).  Input terms: s feeds the logits
-    of the layer below or the observation (below_ll, with logit
-    gradient below_dt) and, when not the top layer, those of the layer
-    above's q."""
-    val = above_ll - (0.5 * (1.0 + s) * lp
-                      + 0.5 * (1.0 - s) * l1p).sum(axis=1) + below_ll
-    grad = bern_ll_grad_s(tp) - 0.5 * (lp - l1p) + below_dt @ model.links[li].W
-    if li < len(model.widths) - 1:
-        vl = qnet.links[li + 1]
-        t_u = s @ vl.W.T + vl.b
-        val = val - bern_ll(xs[li + 1], t_u).sum(axis=1)
-        grad = grad - bern_ll_grad_t(xs[li + 1], t_u) @ vl.W
-    return val, grad
-
-
 class _Draw:
-    """One latent draw for the batch y and the pieces of a step at it,
-    each computed once: the integrand and its pieces at construction;
-    the decoder logit gradients, the local oracle at the sample and the
-    g nets' forward passes on first use."""
+    """One latent draw (xs, probs, raw) for the batch y and the pieces of
+    a step at it, each computed once: the integrand and its pieces at
+    construction; the decoder logit gradients, the local oracle at the
+    sample and the g nets' forward passes on first use.  y and the
+    probabilities may be single rows that broadcast against the
+    latents."""
 
     def __init__(self, model: SbnModel, qnet: InferenceNet,
-                 baselines: SbnBaselines, y: np.ndarray,
-                 rng: np.random.Generator):
+                 baselines: SbnBaselines | None, y: np.ndarray, latents):
         self.model, self.qnet, self.baselines, self.y = (
             model, qnet, baselines, y)
-        self.xs, self.probs, self.raw = _sample_latents(model, qnet, y, rng)
-        self.R, _, _, _, self.pieces = _integrand(model, self.xs, self.probs,
-                                                  y)
+        self.xs, self.probs, self.raw = latents
+        self.R, _, _, self.logq, self.pieces = _integrand(
+            model, self.xs, self.probs, y)
         self._memo: dict = {}
 
     def _once(self, key, make):
@@ -343,28 +294,52 @@ class _Draw:
         return pc.t[li + 1], pc.ll[li + 1]
 
     def local_at_sample(self, li: int):
-        """_local_value_grad at s = xs[li], assembled from the pieces."""
+        """local_at(li, xs[li]), assembled from the pieces."""
         pc = self.pieces
-        tp, above_ll = self._above(li)
-        return self._once(("local", li), lambda: _local_sum(
-            self.model, self.qnet, self.xs, li, self.xs[li], tp,
-            pc.log_p[li], pc.log_1mp[li], above_ll, pc.ll[li],
+        return self._once(("local", li), lambda: self._local(
+            li, self.xs[li], self._above(li)[1], pc.ll[li],
             self.decoder_grad(li)))
 
     def local_at(self, li: int, s: np.ndarray):
-        """_local_value_grad at s; only s's own link products are new."""
+        """Value and gradient in s of the ELBO integrand's
+        layer-li-dependent part, the other layers held at their samples.
+        Terms not involving layer li are omitted; callers only use
+        differences and gradients.  Only s's own link products are new."""
+        below = self.y if li == 0 else self.xs[li - 1]
+        link = self.model.links[li]
+        t_b = s @ link.W.T + link.b
+        return self._local(li, s, bern_ll(s, self._above(li)[0]).sum(axis=1),
+                           bern_ll(below, t_b).sum(axis=1),
+                           bern_ll_grad_t(below, t_b))
+
+    def _local(self, li: int, s: np.ndarray, above_ll: np.ndarray,
+               below_ll: np.ndarray, below_dt: np.ndarray):
+        """The local value and gradient from their terms.  Outcome terms,
+        linear in s: + log p(s | above) (above_ll, under the logits of
+        _above) and - log q(s | below) (from layer li's log p and
+        log(1 - p)).  Input terms: s feeds the logits of the layer below
+        or the observation (below_ll, with logit gradient below_dt) and,
+        when not the top layer, those of the layer above's q."""
         pc = self.pieces
-        return _local_at(self.model, self.qnet, self.xs, self.y, li, s,
-                         self._above(li)[0], pc.log_p[li], pc.log_1mp[li])
+        tp, lp, l1p = self._above(li)[0], pc.log_p[li], pc.log_1mp[li]
+        val = above_ll - (0.5 * (1.0 + s) * lp
+                          + 0.5 * (1.0 - s) * l1p).sum(axis=1) + below_ll
+        grad = (bern_ll_grad_s(tp) - 0.5 * (lp - l1p)
+                + below_dt @ self.model.links[li].W)
+        if li < len(self.xs) - 1:
+            vl = self.qnet.links[li + 1]
+            t_u = s @ vl.W.T + vl.b
+            val = val - bern_ll(self.xs[li + 1], t_u).sum(axis=1)
+            grad = grad - bern_ll_grad_t(self.xs[li + 1], t_u) @ vl.W
+        return val, grad
 
 
 def _layer_contributions(est: EstimatorConfig, draw: _Draw, li: int,
-                         b_val: np.ndarray,
-                         rng_inner: np.random.Generator) -> np.ndarray:
-    """Per-unit estimator contributions (units d/dp) for layer li."""
+                         b_val: np.ndarray, smoothed) -> np.ndarray:
+    """Per-unit estimator contributions (units d/dp) for layer li, with
+    smoothed(rho) the smoothed g at each row."""
     x, p = draw.xs[li], draw.probs[li]
     mu = 2.0 * p - 1.0
-    gnet = draw.baselines.g[li]
 
     def first_order():
         # The local integrand omits terms free of layer li; measured from
@@ -374,10 +349,16 @@ def _layer_contributions(est: EstimatorConfig, draw: _Draw, li: int,
 
     return _contributions(
         est, x, p, mu, f=lambda: draw.R, g=lambda: draw.g_forward(li)[0],
-        smoothed=lambda rho: _smoothed_mc(gnet.value, x, p, rho,
-                                          est.t_rho_samples, rng_inner),
-        taylor=first_order, deriv=lambda: draw.local_at_sample(li)[1],
-        baseline=b_val)
+        smoothed=smoothed, taylor=first_order,
+        deriv=lambda: draw.local_at_sample(li)[1], baseline=b_val)
+
+
+def _sampled_smoothing(est: EstimatorConfig, draw: _Draw, li: int,
+                       rng_inner: np.random.Generator):
+    """The step's smoothed g for layer li: k resampled draws per row."""
+    return lambda rho: _smoothed_mc(draw.baselines.g[li].value, draw.xs[li],
+                                    draw.probs[li], rho, est.t_rho_samples,
+                                    rng_inner)
 
 
 def elbo_sample(model: SbnModel, qnet: InferenceNet, y: np.ndarray,
@@ -451,7 +432,8 @@ class Trainer:
         model, baselines = self.model, self.baselines
         B = y.shape[0]
         L = len(model.widths)
-        draw = _Draw(model, self.qnet, baselines, y, rng_latent)
+        draw = _Draw(model, self.qnet, baselines, y,
+                     _sample_latents(model, self.qnet, y, rng_latent))
         xs, R = draw.xs, draw.R
         if not np.all(np.isfinite(R)):
             raise TrainingDiverged(step_index, "ELBO")
@@ -461,7 +443,9 @@ class Trainer:
         grads: list[np.ndarray] = []
         logvars: list[float] = []
         for li in range(L):
-            contrib = _layer_contributions(est, draw, li, b_val, rng_inner)
+            contrib = _layer_contributions(
+                est, draw, li, b_val,
+                _sampled_smoothing(est, draw, li, rng_inner))
             s = draw.raw[li]
             grad_t = contrib * s * (1.0 - s)
             inp = y if li == 0 else xs[li - 1]
@@ -477,13 +461,13 @@ class Trainer:
             grads.extend([dj.T @ xs[j] / B, dj.sum(axis=0) / B])
 
         # baseline regressions (targets use pre-update values)
-        grads.extend(baselines.b.backward(b_cache, (b_val - R) / B)[0])
+        grads.extend(baselines.b.backward(b_cache, (b_val - R) / B))
         if not cfg.freeze_g:
             target = R - b_val
             for li in range(L):
                 g_val, g_cache = draw.g_forward(li)
                 grads.extend(baselines.g[li].backward(
-                    g_cache, (g_val - target) / B)[0])
+                    g_cache, (g_val - target) / B))
 
         flat = np.concatenate([g.ravel() for g in grads])
         if not np.isfinite(flat).all():
@@ -575,7 +559,8 @@ def _single_layer_configs(model: SbnModel):
         raise ValueError("enumeration oracles support single-layer models")
     w = model.widths[0]
     if w > MAX_N:
-        raise ValueError("latent width too large to enumerate")
+        raise ValueError("latent width %d too large to enumerate (at most %d)"
+                         % (w, MAX_N))
     return enumerate_points(w).astype(np.float64)
 
 
@@ -590,16 +575,15 @@ def exact_log_likelihood(model: SbnModel, y: np.ndarray) -> float:
     return float(top + np.log(np.exp(m - top).sum()))
 
 
-def _posterior_context(model: SbnModel, qnet: InferenceNet, y: np.ndarray):
+def _enumerated_draw(model: SbnModel, qnet: InferenceNet,
+                     baselines: SbnBaselines | None, y: np.ndarray) -> _Draw:
+    """The draw whose rows are all 2^w latent configurations of a
+    single-layer model; y and q's probabilities for it enter as single
+    rows that broadcast against them."""
     configs = _single_layer_configs(model)
-    y = np.asarray(y, dtype=np.float64)
-    t_q = qnet.logits(0, y[None, :])[0]
-    p = _clamp(sigmoid(t_q))
-    logq = np.where(configs > 0, np.log(p), np.log1p(-p)).sum(axis=1)
-    logprior = bern_ll(configs, model.prior).sum(axis=1)
-    loglik = bern_ll(y, model.links[0].forward(configs)).sum(axis=1)
-    R = loglik + logprior - logq
-    return configs, p, t_q, logq, R
+    y = np.asarray(y, dtype=np.float64)[None, :]
+    raw = sigmoid(qnet.logits(0, y))
+    return _Draw(model, qnet, baselines, y, ([configs], [_clamp(raw)], [raw]))
 
 
 def enumerate_elbo(model: SbnModel, qnet: InferenceNet,
@@ -610,13 +594,13 @@ def enumerate_elbo(model: SbnModel, qnet: InferenceNet,
     zero expectation); the chain through a clamped probability is zero
     where the clamp binds.
     """
-    configs, p, t_q, logq, R = _posterior_context(model, qnet, y)
-    q = np.exp(logq)
-    elbo = float(q @ R)
+    draw = _enumerated_draw(model, qnet, None, y)
+    configs, p, raw = draw.xs[0], draw.probs[0][0], draw.raw[0][0]
+    q = np.exp(draw.logq)
+    elbo = float(q @ draw.R)
     sc = np.where(configs > 0, 1.0 / p, -1.0 / (1.0 - p))
-    raw = sigmoid(t_q)
     dp_dt = raw * (1.0 - raw) * ((raw > PROB_FLOOR) & (raw < 1.0 - PROB_FLOOR))
-    grad_t = ((q * R) @ sc) * dp_dt
+    grad_t = ((q * draw.R) @ sc) * dp_dt
     return elbo, grad_t
 
 
@@ -624,45 +608,24 @@ def expected_q_logit_gradient(model: SbnModel, qnet: InferenceNet,
                               baselines: SbnBaselines, y: np.ndarray,
                               est: EstimatorConfig) -> np.ndarray:
     """Exact expected q-logit gradient of the configured estimator, by
-    enumeration over latent configurations (inner smoothing exact).
+    enumeration over latent configurations.
 
-    Runs the estimator kernel over every latent configuration, weighted
-    by its probability under the posterior product distribution, with R
-    as the truth table.  The trainer's network oracles (surrogate g and
-    its exact smoothing, baseline b, Taylor data at the conditional
-    mean, relaxed derivatives) are tabulated the way the training step
-    computes them, and only when the kind asks for them.
+    Runs the training step's own layer contributions on the draw of
+    every latent configuration, weighted by its probability under the
+    posterior product distribution.  Only the smoothed g differs from
+    the step: it is computed exactly from the g net's table, where the
+    step samples it.
     """
-    configs, p, t_q, logq, R = _posterior_context(model, qnet, y)
-    w = model.widths[0]
-    _require_tables(BooleanFunction(w, table=R))
-    y_row = np.asarray(y, dtype=np.float64)[None, :]
-    dist = ProductDistribution(p)
-    pts = enumerate_points(w)
+    draw = _enumerated_draw(model, qnet, baselines, y)
+    dist = ProductDistribution(draw.probs[0][0])
 
-    @cache
-    def g() -> BooleanFunction:
-        return BooleanFunction(w, table=baselines.g[0].value(configs))
+    def smoothed(rho: float) -> np.ndarray:
+        g = BooleanFunction(dist.n, table=draw.g_forward(0)[0])
+        return noise_exact(g, rho, dist).values()
 
-    def first_order():
-        v_mu, g_mu = _local_value_grad(model, qnet, [configs[:1]],
-                                       [p[None, :]], y_row, 0,
-                                       dist.mu[None, :])
-        return R, float(v_mu[0]), g_mu[0]
-
-    def deriv():
-        y_tiled = np.broadcast_to(y_row, (configs.shape[0], y_row.shape[1]))
-        return _local_value_grad(model, qnet, [configs],
-                                 [np.broadcast_to(p, configs.shape)],
-                                 y_tiled, 0, configs)[1]
-
-    m = _contributions(
-        est, pts, dist.probs, dist.mu, f=lambda: R,
-        g=lambda: g().batch(pts),
-        smoothed=lambda rho: noise_exact(g(), rho, dist).batch(pts),
-        taylor=first_order, deriv=deriv,
-        baseline=float(baselines.b.value(y_row)[0]))
-    raw = sigmoid(t_q)
+    m = _layer_contributions(est, draw, 0, baselines.b.value(draw.y),
+                             smoothed)
+    raw = draw.raw[0][0]
     return (weights(dist) @ m) * raw * (1.0 - raw)
 
 
@@ -676,9 +639,11 @@ def sample_q_logit_gradients(model: SbnModel, qnet: InferenceNet,
         raise ValueError("probe sampling supports single-layer models")
     y_tiled = np.broadcast_to(np.asarray(y, dtype=np.float64),
                               (samples, model.obs_width)).copy()
-    draw = _Draw(model, qnet, baselines, y_tiled, stream(seed, 1, 0))
-    contrib = _layer_contributions(est, draw, 0, baselines.b.value(y_tiled),
-                                   stream(seed, 2, 0))
+    draw = _Draw(model, qnet, baselines, y_tiled,
+                 _sample_latents(model, qnet, y_tiled, stream(seed, 1, 0)))
+    contrib = _layer_contributions(
+        est, draw, 0, baselines.b.value(y_tiled),
+        _sampled_smoothing(est, draw, 0, stream(seed, 2, 0)))
     s = draw.raw[0]
     return contrib * s * (1.0 - s)
 

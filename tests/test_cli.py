@@ -276,6 +276,24 @@ def test_probability_dimension_mismatch_exits_2(tmp_path, capsys):
     assert "probabilities" in out
 
 
+@pytest.mark.parametrize("cmd", ["transform", "bench", "hyper"])
+def test_random_probabilities_outside_gradcheck_exit_2(cmd, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out = run(capsys, cmd, "--p", "random", "--out", str(out_dir))
+    assert code == 2
+    assert "gradcheck only" in out
+    assert not out_dir.exists()
+
+
+def test_train_minibatch_larger_than_dataset_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfgp = train_config(tmp_path, dataset_count=10, minibatch=24)
+    code, out = run(capsys, "train", "--config", cfgp, "--out", str(out_dir))
+    assert code == 2
+    assert "minibatch 24 exceeds" in out
+    assert not out_dir.exists()
+
+
 def test_flag_beats_config_value(tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"rho": 0.25, "function": "maj(3)",

@@ -1,5 +1,7 @@
 """Toy belief net: ELBO oracles, estimator plumbing, training artifacts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,9 +41,8 @@ from boolcube.sbn import (
     LOG_VAR_FLOOR,
     _clamp,
     _Draw,
+    _enumerated_draw,
     _integrand,
-    _local_value_grad,
-    _posterior_context,
     _sample_latents,
 )
 
@@ -128,17 +129,19 @@ def test_enumerated_elbo_gradient_vs_finite_differences():
 def test_local_value_grad_matches_integrand_differences():
     # flipping one unit of a middle layer changes R by exactly the local
     # value difference; constants not involving the layer cancel
-    model, qnet, _ = build_toy((3, 2), 5, seed=9)
+    model, qnet, baselines = build_toy((3, 2), 5, seed=9)
     y = np.array([[1.0, 1.0, -1.0, 1.0, -1.0]])
-    xs, probs, _ = _sample_latents(model, qnet, y, stream(52))
+    draw = _Draw(model, qnet, baselines, y,
+                 _sample_latents(model, qnet, y, stream(52)))
+    xs, probs = draw.xs, draw.probs
     for li in range(2):
         for i in range(model.widths[li]):
             s_hi = xs[li].copy()
             s_lo = xs[li].copy()
             s_hi[0, i] = 1.0
             s_lo[0, i] = -1.0
-            v_hi, _ = _local_value_grad(model, qnet, xs, probs, y, li, s_hi)
-            v_lo, _ = _local_value_grad(model, qnet, xs, probs, y, li, s_lo)
+            v_hi, _ = draw.local_at(li, s_hi)
+            v_lo, _ = draw.local_at(li, s_lo)
 
             def full(sample):
                 # a new layer-li sample moves the layer above's q
@@ -157,20 +160,21 @@ def test_local_value_grad_matches_integrand_differences():
 
 
 def test_local_grad_matches_finite_differences():
-    model, qnet, _ = build_toy((3, 2), 5, seed=9)
+    model, qnet, baselines = build_toy((3, 2), 5, seed=9)
     y = np.array([[1.0, 1.0, -1.0, 1.0, -1.0]])
-    xs, probs, _ = _sample_latents(model, qnet, y, stream(53))
+    draw = _Draw(model, qnet, baselines, y,
+                 _sample_latents(model, qnet, y, stream(53)))
     h = 1e-6
     for li in range(2):
-        s = xs[li].astype(np.float64) * 0.5  # interior point
-        _, grad = _local_value_grad(model, qnet, xs, probs, y, li, s)
+        s = draw.xs[li].astype(np.float64) * 0.5  # interior point
+        _, grad = draw.local_at(li, s)
         for i in range(model.widths[li]):
             hi = s.copy()
             lo = s.copy()
             hi[0, i] += h
             lo[0, i] -= h
-            v_hi, _ = _local_value_grad(model, qnet, xs, probs, y, li, hi)
-            v_lo, _ = _local_value_grad(model, qnet, xs, probs, y, li, lo)
+            v_hi, _ = draw.local_at(li, hi)
+            v_lo, _ = draw.local_at(li, lo)
             assert grad[0, i] == pytest.approx(
                 (v_hi[0] - v_lo[0]) / (2.0 * h), abs=1e-6)
 
@@ -178,20 +182,18 @@ def test_local_grad_matches_finite_differences():
 @pytest.mark.parametrize("widths", [(4,), (4, 3), (4, 3, 2)])
 def test_shared_pieces_match_standalone_local_oracle(widths):
     # a step builds the local oracle at the sample from the integrand's
-    # pieces and at the mean from the shared logits and logs; both must
-    # be bit for bit what the standalone oracle computes
+    # pieces; it must be bit for bit the oracle's value at the sample,
+    # which computes its own link products
     model, qnet, baselines = build_toy(widths, 6, seed=21,
                                        baseline_hidden=8, g_hidden=8)
     y = np.where(stream(22).random((5, 6)) < 0.5, 1.0, -1.0)
-    draw = _Draw(model, qnet, baselines, y, stream(23))
+    draw = _Draw(model, qnet, baselines, y,
+                 _sample_latents(model, qnet, y, stream(23)))
     for li in range(len(widths)):
-        for s, got in ((draw.xs[li], draw.local_at_sample(li)),
-                       (2.0 * draw.probs[li] - 1.0,
-                        draw.local_at(li, 2.0 * draw.probs[li] - 1.0))):
-            want = _local_value_grad(model, qnet, draw.xs, draw.probs, y,
-                                     li, s)
-            assert np.array_equal(got[0], want[0]), (widths, li)
-            assert np.array_equal(got[1], want[1]), (widths, li)
+        got = draw.local_at_sample(li)
+        want = draw.local_at(li, draw.xs[li])
+        assert np.array_equal(got[0], want[0]), (widths, li)
+        assert np.array_equal(got[1], want[1]), (widths, li)
 
 
 def test_smoothed_g_keeps_everything_at_rho_one():
@@ -220,6 +222,53 @@ def test_expected_gradient_matches_enumerated_elbo_gradient():
     assert gaps["straight_through"] > 1e-4
 
 
+def test_oracles_refuse_multi_layer_models():
+    model, qnet, baselines = build_toy((4, 3), 6, seed=17,
+                                       baseline_hidden=8, g_hidden=8)
+    y = probe_observation()
+    est = EstimatorConfig("reinforce")
+    for call in (lambda: enumerate_elbo(model, qnet, y),
+                 lambda: exact_log_likelihood(model, y),
+                 lambda: expected_q_logit_gradient(model, qnet, baselines,
+                                                   y, est),
+                 lambda: sample_q_logit_gradients(model, qnet, baselines, y,
+                                                  est, 8, seed=1)):
+        with pytest.raises(ValueError, match="single-layer"):
+            call()
+
+
+def test_oracles_refuse_width_past_max_n_before_allocating():
+    # 2^17 configurations of 17 units would take 17.8 MB as floats
+    model, qnet, baselines = build_toy((17,), 6, seed=17,
+                                       baseline_hidden=8, g_hidden=8)
+    y = probe_observation()
+    est = EstimatorConfig("reinforce")
+    for call in (lambda: enumerate_elbo(model, qnet, y),
+                 lambda: exact_log_likelihood(model, y),
+                 lambda: expected_q_logit_gradient(model, qnet, baselines,
+                                                   y, est)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large to enumerate"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
+def test_expected_gradient_at_the_trainers_default_width():
+    # the trainer's default width 12 lies within the oracles' range
+    model, qnet, baselines = build_toy((12,), 6, seed=17,
+                                       baseline_hidden=8, g_hidden=8)
+    y = probe_observation()
+    _, want = enumerate_elbo(model, qnet, y)
+    for kind in PROBE_KINDS:
+        got = expected_q_logit_gradient(model, qnet, baselines, y,
+                                        EstimatorConfig(kind, rho=0.5))
+        assert np.max(np.abs(got - want)) < 1e-8, kind
+
+
 def test_sampled_gradients_concentrate_on_expectation():
     model, qnet, baselines = toy_probe()
     y = probe_observation()
@@ -242,20 +291,22 @@ def test_expected_gradient_matches_library_oracle(kind):
            if kind == "taylor_at_sample" else EstimatorConfig(kind))
     model, qnet, baselines = toy_probe()
     y = probe_observation()
-    y_row = y[None, :]
-    configs, p, t_q, _, R = _posterior_context(model, qnet, y)
-    raw = sigmoid(t_q)
-    v_mu, g_mu = _local_value_grad(model, qnet, [configs[:1]], [p[None, :]],
-                                   y_row, 0, (2.0 * p - 1.0)[None, :])
-    _, grads = _local_value_grad(model, qnet, [configs],
-                                 [np.broadcast_to(p, configs.shape)],
-                                 np.broadcast_to(y_row, (16, 6)), 0, configs)
+    draw = _enumerated_draw(model, qnet, baselines, y)
+    p, raw = draw.probs[0][0], draw.raw[0][0]
+    v, grads = draw.local_at_sample(0)
+    if est.kind in ("muprop", "combined"):
+        # the step expands v(x) - v(mu) with value 0 and the gradient at
+        # mu shared by every row
+        v_mu, g_mu = draw.local_at(0, (2.0 * p - 1.0)[None, :])
+        f = v - v_mu
+        taylor = MeanTaylor(value=0.0, gradient=np.broadcast_to(g_mu, (16, 4)))
+    else:
+        f, taylor = draw.R, None
     want = expected_value_by_enumeration(
-        est, BooleanFunction(4, table=R), ProductDistribution(p),
-        g=BooleanFunction(4, table=baselines.g[0].value(configs)),
-        baseline=float(baselines.b.value(y_row)[0]),
-        taylor=MeanTaylor(value=float(v_mu[0]), gradient=g_mu[0]),
-        derivs=grads.T) * raw * (1.0 - raw)
+        est, BooleanFunction(4, table=f), ProductDistribution(p),
+        g=BooleanFunction(4, table=baselines.g[0].value(draw.xs[0])),
+        baseline=float(baselines.b.value(y[None, :])[0]),
+        taylor=taylor, derivs=grads.T) * raw * (1.0 - raw)
     got = expected_q_logit_gradient(model, qnet, baselines, y, est)
     assert np.array_equal(got, want)
 
@@ -316,6 +367,29 @@ def test_variance_ema_track_examples():
     want = np.log(v[1:].mean(axis=1))
     got = variance_ema_track(z2, 0.9)
     assert np.max(np.abs(got[1:] - want)) < 1e-12
+
+
+def test_online_track_equals_batch_track(monkeypatch):
+    # the step's online EMA reads, per layer, what variance_ema_track
+    # reads off the whole recorded series of q gradients
+    seen: dict[int, list] = {}
+
+    class Recording(Trainer):
+        def _track(self, li, flat):
+            seen.setdefault(li, []).append(flat.copy())
+            return super()._track(li, flat)
+
+    monkeypatch.setattr("boolcube.sbn.Trainer", Recording)
+    model, qnet, baselines = build_toy((4, 3), 36, seed=66,
+                                       baseline_hidden=8, g_hidden=8)
+    cfg = TrainConfig(estimator=EstimatorConfig("combined", rho=0.5),
+                      steps=60, seed=67, learning_rate=0.02, minibatch=4,
+                      variance_decay=0.9)
+    res = train(model, qnet, baselines, bars_dataset(16, seed=7), cfg)
+    assert sorted(seen) == [0, 1]
+    for li, series in seen.items():
+        want = variance_ema_track(np.array(series), cfg.variance_decay)
+        assert np.max(np.abs(res.log_variance[:, li] - want)) < 1e-12, li
 
 
 # ---------------------------------------------------------------------------
