@@ -343,8 +343,8 @@ def _write(out_dir: str, name: str, content: str) -> str:
 
 def _run_transform(cfg: dict) -> int:
     spec = _parse_spec(cfg["function"])
+    dist = ProductDistribution(_probs_for(cfg["p"], spec.n))
     f = spec.build()
-    dist = ProductDistribution(_probs_for(cfg["p"], f.n))
     text = "# %s\n%s" % (_resolved_line("transform", cfg),
                          expansion_to_text(transform(f, dist)))
     path = _write(cfg["out"], "transform.txt", text)
@@ -365,12 +365,12 @@ def _run_gradcheck(cfg: dict) -> int:
              "instance,function,coord,exact,numeric,abs_diff"]
     worst = 0.0
     for k, spec in enumerate(specs):
-        f = spec.build()
         if cfg["p"] == "random":
-            p = stream(cfg["seed"], 7000, k).uniform(0.1, 0.9, f.n)
+            p = stream(cfg["seed"], 7000, k).uniform(0.1, 0.9, spec.n)
         else:
-            p = _probs_for(cfg["p"], f.n)
+            p = _probs_for(cfg["p"], spec.n)
         dist = ProductDistribution(p)
+        f = spec.build()
         exact = exact_gradient(f, dist)
         numeric = numeric_gradient(f, dist)
         if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(numeric))):
@@ -395,8 +395,8 @@ def _run_gradcheck(cfg: dict) -> int:
 
 def _run_bench(cfg: dict) -> int:
     spec = _parse_spec(cfg["function"])
+    dist = ProductDistribution(_probs_for(cfg["p"], spec.n))
     f = spec.build()
-    dist = ProductDistribution(_probs_for(cfg["p"], f.n))
     header = _resolved_line("bench", cfg)
     for kind in cfg["estimators"]:
         est = EstimatorConfig(kind=kind, rho=cfg["rho"], alpha=cfg["alpha"],

@@ -12,16 +12,15 @@ which is 1/p_i at x_i = +1 and -1/(1-p_i) at x_i = -1.
 
 Each kind's algebra is written once, in one batched kernel: the
 score-weighted integrand minus a control variate, plus the variate's
-expected contribution where it is not zero.  The per-sample functions,
-the sampling front ends and the exact oracles here feed it parts from
-truth tables, expansions and callables; the trainer in `sbn` feeds it
-parts from the belief net.
-
-Exact oracles (`expected_value_by_enumeration`, `variance_by_enumeration`)
-enumerate the truth table, replacing inner Monte Carlo smoothing by the
-exact smoothed function; both replacements are valid because every
-contribution is linear in the inner estimate (and the variance oracle
-adds the conditional variance term in closed form).
+expected contribution where it is not zero.  The trainer in `sbn` feeds
+it parts from the belief net.  Everything else here calls it through one
+cube front end at a batch of rows: one row for the per-sample functions,
+the rows drawn for the sampling functions, all 2^n points for the exact
+oracles.  Inner smoothing averages k resampling draws of every row from
+the caller's stream.  The oracles pass no stream and get the exact
+smoothed function, valid because every contribution is linear in the
+inner estimate (the variance oracle adds the conditional variance term
+in closed form).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .cube import (
 )
 from .fourier import (BooleanFunction, FourierExpansion, inverse_transform,
                       transform)
-from .operators import _smoothed_mc, noise_exact, noise_mc
+from .operators import _smoothed_mc, noise_exact
 from .rng import stream
 
 __all__ = [
@@ -187,8 +186,12 @@ class GradientEstimate:
 
 def score(x: np.ndarray, dist: ProductDistribution) -> np.ndarray:
     """score_i(x) = d log p(x) / d p_i; broadcasts over leading axes."""
-    x = np.asarray(x)
-    return np.where(x > 0, 1.0 / dist.probs, -1.0 / (1.0 - dist.probs))
+    return _score(x, dist.probs)
+
+
+def _score(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """score_i(x) at probabilities p, (n,) or one row per row of x."""
+    return np.where(np.asarray(x) > 0, 1.0 / p, -1.0 / (1.0 - p))
 
 
 def log_prob(x: np.ndarray, dist: ProductDistribution) -> np.ndarray:
@@ -235,7 +238,7 @@ def _contributions(cfg: EstimatorConfig, x: np.ndarray, p: np.ndarray,
     """
     if cfg.kind == "straight_through":
         return 2.0 * deriv()
-    sc = np.where(x > 0, 1.0 / p, -1.0 / (1.0 - p))
+    sc = _score(x, p)
     if cfg.kind == "reinforce":
         return f()[:, None] * sc
     if cfg.kind == "reinforce_const_baseline":
@@ -289,8 +292,8 @@ def _smoothing_terms(cfg: EstimatorConfig) -> tuple[tuple[float, float], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Cube front ends: parts from truth tables, expansions and callables.  The
-# per-sample functions return the length-n contribution vector of one x.
+# The cube front end: parts from truth tables, expansions and callables, at
+# one row, at the rows a sampler drew, or at every point of the cube.
 
 def _derivative_at(derivs, f, xs: np.ndarray,
                    dist: ProductDistribution) -> np.ndarray:
@@ -311,13 +314,15 @@ def _derivative_at(derivs, f, xs: np.ndarray,
 
 
 def _cube_contributions(cfg: EstimatorConfig, f: BooleanFunction,
-                        dist: ProductDistribution, xs: np.ndarray, mc=None,
+                        dist: ProductDistribution, xs: np.ndarray, rng=None, *,
                         g=None, baseline: float = 0.0, taylor=None,
                         derivs=None) -> np.ndarray:
     """The kernel at the rows xs.  g defaults to f, taylor to f's exact
-    MeanTaylor and derivs to f's derivative tables.  mc(g, rho) draws
-    the smoothed g at the rows; without it the smoothing is exact."""
+    MeanTaylor and derivs to f's derivative tables.  Each smoothed value
+    averages k resampling draws of all rows, taken from rng; without a
+    stream, or when cfg asks for it, the smoothing is exact."""
     g = f if g is None else g
+    exact = rng is None or cfg.exact_inner
 
     def first_order():
         t = MeanTaylor.from_function(f, dist) if taylor is None else taylor
@@ -326,30 +331,16 @@ def _cube_contributions(cfg: EstimatorConfig, f: BooleanFunction,
     return _contributions(
         cfg, xs, dist.probs, dist.mu, f=lambda: f.batch(xs),
         g=lambda: g.batch(xs), taylor=first_order, smoothed=lambda rho: (
-            noise_exact(g, rho, dist).batch(xs) if mc is None else mc(g, rho)),
+            noise_exact(g, rho, dist).batch(xs) if exact else _smoothed_mc(
+                g.batch, xs, dist.probs, rho, cfg.t_rho_samples, rng)),
         deriv=lambda: _derivative_at(derivs, f, xs, dist), baseline=baseline)
 
 
 def _at_point(cfg: EstimatorConfig, f, x: np.ndarray,
               dist: ProductDistribution, rng=None, **oracles) -> np.ndarray:
-    """The kernel on the single point x; each smoothed value averages k
-    resamplings of x, drawn by noise_mc in one block."""
-    def mc(g, rho):
-        return np.array([noise_mc(g, x, rho, dist, rng, cfg.t_rho_samples)])
-
-    return _cube_contributions(cfg, f, dist, np.asarray(x)[None, :], mc,
+    """The kernel on the single point x, as a batch of one row."""
+    return _cube_contributions(cfg, f, dist, np.asarray(x)[None, :], rng,
                                **oracles)[0]
-
-
-def _sampled(cfg: EstimatorConfig, f: BooleanFunction,
-             dist: ProductDistribution, rng: np.random.Generator,
-             xs: np.ndarray, **oracles) -> np.ndarray:
-    """Contributions at the points xs just drawn from rng.  Unless cfg
-    asks for exact smoothing, every smoothed value averages k resampling
-    draws of all rows, taken from the same stream."""
-    mc = None if cfg.exact_inner else (lambda g, rho: _smoothed_mc(
-        g.batch, xs, dist.probs, rho, cfg.t_rho_samples, rng))
-    return _cube_contributions(cfg, f, dist, xs, mc, **oracles)
 
 
 def reinforce(f: BooleanFunction, x: np.ndarray,
@@ -443,8 +434,9 @@ def single_sample(cfg: EstimatorConfig, f: BooleanFunction,
                   g=None, baseline: float = 0.0, taylor=None,
                   derivs=None) -> np.ndarray:
     """Draw one x and return its contribution vector under cfg."""
-    return _sampled(cfg, f, dist, rng, sample(dist, rng, size=1), g=g,
-                    baseline=baseline, taylor=taylor, derivs=derivs)[0]
+    return _cube_contributions(cfg, f, dist, sample(dist, rng, size=1), rng,
+                               g=g, baseline=baseline, taylor=taylor,
+                               derivs=derivs)[0]
 
 
 def _require_tables(*fns: BooleanFunction):
@@ -516,8 +508,8 @@ def estimate_gradient(cfg: EstimatorConfig, f: BooleanFunction,
         raise ValueError("batch must be at least 1")
     rng = stream(seed)
     xs = sample(dist, rng, size=batch)
-    m = _sampled(cfg, f, dist, rng, xs, g=g, baseline=baseline, taylor=taylor,
-                 derivs=derivs)
+    m = _cube_contributions(cfg, f, dist, xs, rng, g=g, baseline=baseline,
+                            taylor=taylor, derivs=derivs)
     return GradientEstimate(grad=m.mean(axis=0), batch=batch, seed=seed)
 
 
@@ -612,8 +604,8 @@ def benchmark_variance(cfg: EstimatorConfig, f: BooleanFunction,
         raise ValueError("trials must be at least 2")
     rng = stream(seed)
     xs = sample(dist, rng, size=trials)
-    m = _sampled(cfg, f, dist, rng, xs, g=g, baseline=baseline, taylor=taylor,
-                 derivs=derivs)
+    m = _cube_contributions(cfg, f, dist, xs, rng, g=g, baseline=baseline,
+                            taylor=taylor, derivs=derivs)
     _, v = ema_mean_and_variance(m, cfg.baseline_decay)
     return VarianceReport(mean=m.mean(axis=0), variance=m.var(axis=0, ddof=1),
                           ema_variance=v[-1], trials=trials, seed=seed,

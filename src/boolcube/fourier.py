@@ -280,6 +280,14 @@ def inverse_transform(e: FourierExpansion, dist: ProductDistribution) -> Boolean
     return BooleanFunction(n, table=work)
 
 
+def _lower_slots(v: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+    """Copy each coefficient of v on a subset containing j to out's slot
+    for the subset without j, and return out.  Its other slots are left
+    alone, so zeros in give the formal derivative with respect to phi_j."""
+    out.reshape(-1, 2, 1 << j)[:, 0] = v.reshape(-1, 2, 1 << j)[:, 1]
+    return out
+
+
 def multilinear_gradient(e: FourierExpansion, x: np.ndarray,
                          dist: ProductDistribution) -> np.ndarray:
     """Gradient of the multilinear extension at a (possibly fractional) point.
@@ -290,7 +298,7 @@ def multilinear_gradient(e: FourierExpansion, x: np.ndarray,
     n = e.n
     rows = np.zeros((n, 1 << n))
     for j in range(n):
-        rows[j].reshape(-1, 2, 1 << j)[:, 0] = e.vector.reshape(-1, 2, 1 << j)[:, 1]
+        _lower_slots(e.vector, j, rows[j])
     return rows @ _basis(phi_matrix(x, dist)[None, :])[0] / dist.sigma
 
 

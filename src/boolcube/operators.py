@@ -15,6 +15,7 @@ from .cube import ProductDistribution, _resampled, weights
 from .fourier import (
     BooleanFunction,
     FourierExpansion,
+    _lower_slots,
     inverse_transform,
     norm,
     transform,
@@ -42,9 +43,8 @@ def discrete_derivative(e: FourierExpansion, i: int) -> FourierExpansion:
     """
     if not 0 <= i < e.n:
         raise ValueError("coordinate %d out of range" % i)
-    out = np.zeros(1 << e.n)
-    out.reshape(-1, 2, 1 << i)[:, 0] = e.vector.reshape(-1, 2, 1 << i)[:, 1]
-    return FourierExpansion._of_vector(out)
+    return FourierExpansion._of_vector(
+        _lower_slots(e.vector, i, np.zeros(1 << e.n)))
 
 
 def noise_expansion(e: FourierExpansion, rho: float) -> FourierExpansion:

@@ -359,6 +359,7 @@ def _train_kind(kind, lr, steps=20000):
     return train(model, qnet, baselines, bars_dataset(144, 7), cfg)
 
 
+@pytest.mark.slow
 def test_training_raises_the_bound_for_every_kind():
     margins = {}
     for kind in KINDS:
@@ -404,6 +405,7 @@ def test_sampled_training_gradients_match_enumeration():
     assert st_dev > 10.0
 
 
+@pytest.mark.slow
 def test_variate_lowers_tracked_gradient_variance():
     mu = _train_kind("muprop", lr=0.05)
     co = _train_kind("combined", lr=0.05)

@@ -276,6 +276,25 @@ def test_probability_dimension_mismatch_exits_2(tmp_path, capsys):
     assert "probabilities" in out
 
 
+@pytest.mark.parametrize("cmd,function", [
+    ("transform", "randpoly(16,4,0.5,1)"), ("bench", "maj(3)"),
+    ("gradcheck", "maj(3)")])
+def test_probability_dimension_mismatch_exits_before_building(
+        cmd, function, monkeypatch, tmp_path, capsys):
+    from boolcube.funcspec import FunctionSpec
+
+    calls = []
+    build = FunctionSpec.build
+    monkeypatch.setattr(FunctionSpec, "build",
+                        lambda spec: calls.append(spec) or build(spec))
+    code, out = run(capsys, cmd, "--function", function, "--p", "0.3,0.4",
+                    "--out", str(tmp_path))
+    n = 16 if function.startswith("randpoly") else 3
+    assert code == 2
+    assert out == "config error: p: 2 probabilities for dimension %d\n" % n
+    assert calls == []
+
+
 @pytest.mark.parametrize("cmd", ["transform", "bench", "hyper"])
 def test_random_probabilities_outside_gradcheck_exit_2(cmd, tmp_path, capsys):
     out_dir = tmp_path / "out"

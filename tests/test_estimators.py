@@ -1,5 +1,6 @@
 """Gradient estimators: identities, unbiasedness, variance oracles, benchmark."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -250,28 +251,35 @@ def test_front_ends_accept_a_callable_derivative():
 
 
 def test_per_sample_functions_match_single_sample():
-    # at k = 1 a per-sample function at the point single_sample draws,
-    # with the stream left where that draw leaves it, gives its vector
+    # at k = 1 and k = 3, a per-sample function at the point single_sample
+    # draws, with the stream left where that draw leaves it, gives its vector
     cases = [(MAJ3, U3),
              (parse_function("randpoly(5,3,0.5,7)").build(),
               ProductDistribution([0.2, 0.35, 0.5, 0.65, 0.8]))]
-    for f, dist in cases:
+    for k, (f, dist) in itertools.product((1, 3), cases):
         taylor = MeanTaylor.from_function(f, dist)
         tables = derivative_tables(f)
-        at_sample = EstimatorConfig("combined", rho=0.5, taylor_at_sample=True)
+        plain = EstimatorConfig("combined", t_rho_samples=k)
+        at_sample = EstimatorConfig("combined", rho=0.5, t_rho_samples=k,
+                                    taylor_at_sample=True)
+        exact = EstimatorConfig("combined", t_rho_samples=k, exact_inner=True)
         pairs = [
             ("reinforce", lambda x, rng: reinforce(f, x, dist)),
             ("reinforce_const_baseline",
              lambda x, rng: reinforce_const_baseline(f, x, dist, 0.0)),
             ("straight_through", lambda x, rng: straight_through(tables, x, dist)),
             ("muprop", lambda x, rng: muprop(f, taylor, x, dist)),
-            ("fourier_cv", lambda x, rng: fourier_cv(f, f, x, dist, 0.5, 1, rng)),
-            ("fourier_cv_alt",
-             lambda x, rng: fourier_cv_alt(f, f, x, dist, 0.5, 1, rng)),
-            ("combined", lambda x, rng: combined(
-                f, 0.0, taylor, f, x, dist, EstimatorConfig("combined"), rng)),
+            (EstimatorConfig("fourier_cv", t_rho_samples=k),
+             lambda x, rng: fourier_cv(f, f, x, dist, 0.5, k, rng)),
+            (EstimatorConfig("fourier_cv_alt", t_rho_samples=k),
+             lambda x, rng: fourier_cv_alt(f, f, x, dist, 0.5, k, rng)),
+            (plain, lambda x, rng: combined(f, 0.0, taylor, f, x, dist,
+                                            plain, rng)),
             (at_sample, lambda x, rng: combined(
                 f, 0.0, taylor, f, x, dist, at_sample, rng, deriv=tables)),
+            # exact smoothing draws nothing, so any other stream will do
+            (exact, lambda x, rng: combined(f, 0.0, taylor, f, x, dist,
+                                            exact, stream(99))),
         ]
         for cfg, one in pairs:
             cfg = EstimatorConfig(cfg) if isinstance(cfg, str) else cfg
