@@ -64,7 +64,7 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing: defaults <- JSON file <- flags, all hand-validated.
+# Config plumbing: defaults <- JSON file <- flags, types checked here.
 
 def _int_in(lo: int | None = None, hi: int | None = None):
     def coerce(key, v):
@@ -140,36 +140,12 @@ def _probs_or_random(key, v):
     return v if v == "random" else _probs_text(key, v)
 
 
-def _estimator_name(key, v):
-    v = _string(key, v)
-    if v not in KINDS:
-        raise ConfigError("%s: unknown estimator %r (one of %s)"
-                          % (key, v, ", ".join(KINDS)))
-    return v
-
-
-def _estimator_list(key, v):
-    if not isinstance(v, list) or not v:
-        raise ConfigError("%s: expected a non-empty list" % key)
-    return [_estimator_name(key, x) for x in v]
-
-
-def _widths(key, v):
-    if not isinstance(v, list) or not 1 <= len(v) <= 3:
-        raise ConfigError("%s: expected a list of 1 to 3 layer widths" % key)
-    out = []
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, int) or not 1 <= x <= 32:
-            raise ConfigError("%s: widths must be integers in [1, 32]" % key)
-        out.append(x)
-    return out
-
-
-def _act_name(key, v):
-    v = _string(key, v)
-    if v not in ("tanh", "relu"):
-        raise ConfigError("%s: expected tanh or relu" % key)
-    return v
+def _list_of(item):
+    def coerce(key, v):
+        if not isinstance(v, list) or not v:
+            raise ConfigError("%s: expected a non-empty list" % key)
+        return [item(key, x) for x in v]
+    return coerce
 
 
 _SEED = _int_in(0)
@@ -193,12 +169,12 @@ _SPECS: dict[str, dict[str, tuple]] = {
     "bench": {
         "function": ("maj(3)", _string),
         "p": ("0.5", _probs_text),
-        "estimators": (["reinforce", "fourier_cv"], _estimator_list),
-        "rho": (0.5, _float_in(0.0, 1.0, lo_open=True)),
+        "estimators": (["reinforce", "fourier_cv"], _list_of(_string)),
+        "rho": (0.5, _float_in()),
         "alpha": (1.0, _float_in()),
         "beta": (1.0, _float_in()),
-        "k": (1, _int_in(1, 1000)),
-        "decay": (0.99, _float_in(0.0, 1.0)),
+        "k": (1, _int_in(hi=1000)),
+        "decay": (0.99, _float_in()),
         "baseline": (0.0, _float_in()),
         "exact_inner": (False, _bool),
         "taylor_at_sample": (False, _bool),
@@ -215,26 +191,26 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "out": (".", _string),
     },
     "train": {
-        "widths": ([12], _widths),
-        "obs_width": (36, _int_in(1, 4096)),
+        "widths": ([12], _list_of(_int_in())),
+        "obs_width": (36, _int_in()),
         "dataset": (None, _opt_string),
         "dataset_count": (144, _int_in(1, 100000)),
         "dataset_seed": (7, _SEED),
-        "steps": (20000, _int_in(1)),
+        "steps": (20000, _int_in()),
         "seed": (17, _SEED),
-        "learning_rate": (0.05, _float_in(0.0, None, lo_open=True)),
-        "momentum": (0.9, _float_in(0.0, 1.0)),
-        "minibatch": (24, _int_in(1)),
-        "baseline_lr_scale": (0.1, _float_in(0.0, None, lo_open=True)),
-        "variance_decay": (0.99, _float_in(0.0, 1.0)),
-        "estimator": ("muprop", _estimator_name),
-        "rho": (0.5, _float_in(0.0, 1.0, lo_open=True)),
+        "learning_rate": (0.05, _float_in()),
+        "momentum": (0.9, _float_in()),
+        "minibatch": (24, _int_in()),
+        "baseline_lr_scale": (0.1, _float_in()),
+        "variance_decay": (0.99, _float_in()),
+        "estimator": ("muprop", _string),
+        "rho": (0.5, _float_in()),
         "alpha": (1.0, _float_in()),
         "beta": (1.0, _float_in()),
-        "k": (1, _int_in(1, 1000)),
+        "k": (1, _int_in(hi=1000)),
         "baseline_hidden": (32, _int_in(1, 256)),
         "g_hidden": (32, _int_in(1, 256)),
-        "g_act": ("tanh", _act_name),
+        "g_act": ("tanh", _string),
         "freeze_g": (False, _bool),
         "write_checkpoint": (True, _bool),
         "write_dataset": (True, _bool),
@@ -286,7 +262,7 @@ def _resolve_config(cmd: str, args: argparse.Namespace) -> dict:
             raise ConfigError("--%s does not apply to %s" % (flag, cmd))
         key = flags[flag]
         if flag == "estimator" and cmd == "bench":
-            cfg["estimators"] = [_estimator_name(key, value)]
+            cfg["estimators"] = [value]
         else:
             cfg[key] = spec[key][1](key, value)
     if args.out is not None:
@@ -396,24 +372,28 @@ def _run_gradcheck(cfg: dict) -> int:
 def _run_bench(cfg: dict) -> int:
     spec = _parse_spec(cfg["function"])
     dist = ProductDistribution(_probs_for(cfg["p"], spec.n))
+    try:
+        ests = [EstimatorConfig(kind=kind, rho=cfg["rho"], alpha=cfg["alpha"],
+                                beta=cfg["beta"], t_rho_samples=cfg["k"],
+                                baseline_decay=cfg["decay"],
+                                exact_inner=cfg["exact_inner"],
+                                taylor_at_sample=cfg["taylor_at_sample"])
+                for kind in cfg["estimators"]]
+    except ValueError as e:
+        raise ConfigError(str(e))
     f = spec.build()
     header = _resolved_line("bench", cfg)
-    for kind in cfg["estimators"]:
-        est = EstimatorConfig(kind=kind, rho=cfg["rho"], alpha=cfg["alpha"],
-                              beta=cfg["beta"], t_rho_samples=cfg["k"],
-                              baseline_decay=cfg["decay"],
-                              exact_inner=cfg["exact_inner"],
-                              taylor_at_sample=cfg["taylor_at_sample"])
+    for est in ests:
         report = benchmark_variance(est, f, dist, cfg["trials"], cfg["seed"],
                                     baseline=cfg["baseline"])
         if not (np.all(np.isfinite(report.mean))
                 and np.all(np.isfinite(report.variance))):
-            print("non-finite benchmark results for %s" % kind)
+            print("non-finite benchmark results for %s" % est.kind)
             return 3
-        path = _write(cfg["out"], "bench_%s.csv" % kind,
+        path = _write(cfg["out"], "bench_%s.csv" % est.kind,
                       report.to_csv(extra_header=header))
         print("%s: variance per coordinate %s"
-              % (kind, " ".join(repr(float(v)) for v in report.variance)))
+              % (est.kind, " ".join(repr(float(v)) for v in report.variance)))
         print("wrote %s" % path)
     return 0
 
@@ -445,32 +425,31 @@ def _run_hyper(cfg: dict) -> int:
 
 
 def _run_train(cfg: dict) -> int:
-    if cfg["dataset"] is not None:
-        try:
-            data = load_dataset(cfg["dataset"])
-        except (OSError, ValueError) as e:
-            raise ConfigError("dataset: %s" % e)
-        obs_width = data.shape[1]
-    else:
-        obs_width = cfg["obs_width"]
-        data = bars_dataset(cfg["dataset_count"], cfg["dataset_seed"])
-        if data.shape[1] != obs_width:
-            raise ConfigError("obs_width %d does not match the generated "
-                              "6x6 patterns" % obs_width)
-    if cfg["minibatch"] > data.shape[0]:
-        raise ConfigError("minibatch %d exceeds the dataset's %d rows"
-                          % (cfg["minibatch"], data.shape[0]))
-    est = EstimatorConfig(kind=cfg["estimator"], rho=cfg["rho"],
-                          alpha=cfg["alpha"], beta=cfg["beta"],
-                          t_rho_samples=cfg["k"],
-                          baseline_decay=cfg["variance_decay"])
     try:
+        est = EstimatorConfig(kind=cfg["estimator"], rho=cfg["rho"],
+                              alpha=cfg["alpha"], beta=cfg["beta"],
+                              t_rho_samples=cfg["k"],
+                              baseline_decay=cfg["variance_decay"])
         tc = TrainConfig(estimator=est, steps=cfg["steps"], seed=cfg["seed"],
                          learning_rate=cfg["learning_rate"],
                          momentum=cfg["momentum"], minibatch=cfg["minibatch"],
                          baseline_lr_scale=cfg["baseline_lr_scale"],
-                         variance_decay=cfg["variance_decay"],
                          freeze_g=cfg["freeze_g"])
+        if cfg["dataset"] is not None:
+            try:
+                data = load_dataset(cfg["dataset"])
+            except (OSError, ValueError) as e:
+                raise ConfigError("dataset: %s" % e)
+            obs_width = data.shape[1]
+        else:
+            obs_width = cfg["obs_width"]
+            data = bars_dataset(cfg["dataset_count"], cfg["dataset_seed"])
+            if data.shape[1] != obs_width:
+                raise ConfigError("obs_width %d does not match the generated "
+                                  "6x6 patterns" % obs_width)
+        if cfg["minibatch"] > data.shape[0]:
+            raise ConfigError("minibatch %d exceeds the dataset's %d rows"
+                              % (cfg["minibatch"], data.shape[0]))
         model, qnet, baselines = build_toy(
             tuple(cfg["widths"]), obs_width, cfg["seed"],
             baseline_hidden=cfg["baseline_hidden"], g_hidden=cfg["g_hidden"],
@@ -744,3 +723,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print("config error: %s" % e)
         return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

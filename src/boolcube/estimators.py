@@ -87,7 +87,8 @@ class EstimatorConfig:
     kinds that divide by it need rho > 0.  t_rho_samples is the inner
     Monte Carlo count k.  alpha scales the first-order term and beta the
     smoothing-based variate in `combined`.  baseline_decay drives the EMA
-    variance track of the benchmark harness.
+    variance track of the benchmark harness and the trainer's per-layer
+    gradient variance track.
 
     exact_inner replaces inner Monte Carlo by the exactly smoothed
     function (k is then ignored).  taylor_at_sample switches `combined`

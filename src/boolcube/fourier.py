@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -98,15 +98,6 @@ class BooleanFunction:
             self._table: np.ndarray | None = t
         else:
             self._table = None
-
-    @classmethod
-    def from_table(cls, table: Iterable[float], name: str = "") -> "BooleanFunction":
-        t = np.asarray(list(table) if not isinstance(table, np.ndarray) else table,
-                       dtype=np.float64)
-        n = int(round(np.log2(t.shape[0])))
-        if (1 << n) != t.shape[0]:
-            raise ValueError("truth table length must be a power of two")
-        return cls(n, table=t, name=name)
 
     @classmethod
     def from_callable(cls, n: int, func: Callable[[np.ndarray], float],

@@ -214,7 +214,6 @@ class FunctionSpec:
 def parse_function(text: str) -> FunctionSpec:
     """Parse one function description; whitespace-insensitive."""
     cur = _Cursor(text)
-    at = cur.i
     cur.skip_ws()
     at = cur.i
     kind = cur.name()

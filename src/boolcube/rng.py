@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "split"]
+__all__ = ["stream"]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -21,8 +21,3 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence([int(seed), *[int(p) for p in path]])
     return np.random.Generator(np.random.Philox(ss))
-
-
-def split(seed: int, count: int, *path: int) -> list[np.random.Generator]:
-    """Derive `count` independent streams below (seed, *path)."""
-    return [stream(seed, *path, i) for i in range(count)]

@@ -161,7 +161,6 @@ class TrainConfig:
     momentum: float = 0.9
     minibatch: int = 24
     baseline_lr_scale: float = 0.1
-    variance_decay: float = 0.99
     freeze_g: bool = False
 
     def __post_init__(self):
@@ -171,19 +170,17 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if not 0.0 <= self.variance_decay < 1.0:
-            raise ValueError("variance_decay must lie in [0, 1)")
         if self.estimator.exact_inner:
             raise ValueError("exact_inner estimators are for enumeration "
                              "oracles, not training")
 
     def summary(self) -> str:
         return ("estimator=%s steps=%d seed=%d lr=%s momentum=%s minibatch=%d "
-                "baseline_lr_scale=%s variance_decay=%s freeze_g=%s"
+                "baseline_lr_scale=%s freeze_g=%s"
                 % (self.estimator.label(), self.steps, self.seed,
                    repr(float(self.learning_rate)), repr(float(self.momentum)),
                    self.minibatch, repr(float(self.baseline_lr_scale)),
-                   repr(float(self.variance_decay)), self.freeze_g))
+                   self.freeze_g))
 
 
 def build_toy(widths: tuple[int, ...], obs_width: int, seed: int,
@@ -413,7 +410,7 @@ class Trainer:
             self._ema[li] = [flat.copy(), np.zeros_like(flat)]
             return LOG_VAR_FLOOR
         m, v = st
-        d = self.cfg.variance_decay
+        d = self.cfg.estimator.baseline_decay
         innov = flat - m
         v *= d
         v += (1.0 - d) * innov * innov

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import boolcube
 from boolcube.cli import main
 
 
@@ -322,3 +325,76 @@ def test_flag_beats_config_value(tmp_path, capsys):
     assert code == 0
     header = read(tmp_path / "bench_reinforce.csv").splitlines()[0]
     assert "rho=0.5" in header
+
+
+# ---------------------------------------------------------------------------
+# One owner per setting: the library's config objects judge every
+# estimator and trainer setting, before any work and before any file.
+
+_BENCH = {"function": "maj(3)", "trials": 1000}
+_LIBRARY_OWNED = [
+    ("bench", {"decay": 1.0}, "baseline_decay must lie in [0, 1)"),
+    ("bench", {"taylor_at_sample": True,
+               "estimators": ["combined", "reinforce"]},
+     "taylor_at_sample applies only to kind 'combined'"),
+    ("bench", {"rho": 1.5}, "rho must lie in [0, 1]"),
+    ("bench", {"rho": 0, "estimators": ["fourier_cv"]}, "divides by rho"),
+    ("train", {"variance_decay": 1.0}, "baseline_decay must lie in [0, 1)"),
+    ("train", {"momentum": 1.0}, "momentum must lie in [0, 1)"),
+    ("train", {"learning_rate": 0}, "learning rates must be positive"),
+    ("train", {"steps": 0}, "steps and minibatch must be positive"),
+    ("train", {"minibatch": 0}, "steps and minibatch must be positive"),
+    ("train", {"widths": [0]}, "widths out of the supported toy range"),
+    ("train", {"widths": [1, 2, 3, 4]}, "layer count must be 1, 2, or 3"),
+    ("train", {"widths": [2.5]}, "widths: expected an integer"),
+    ("train", {"estimator": "nvil"}, "unknown estimator kind 'nvil'"),
+    ("train", {"g_act": "sigmoid"}, "unknown activation 'sigmoid'"),
+    ("train", {"rho": 0, "estimator": "combined"}, "divides by rho"),
+]
+
+
+@pytest.mark.parametrize("cmd,settings,message", _LIBRARY_OWNED, ids=[
+    "%s-%s" % (cmd, json.dumps(settings, separators=(",", ":")))
+    for cmd, settings, _ in _LIBRARY_OWNED])
+def test_library_owned_setting_exits_2_before_any_file(
+        cmd, settings, message, tmp_path, capsys):
+    if cmd == "bench":
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(_BENCH, **settings)))
+    else:
+        cfgp = train_config(tmp_path, **settings)
+    out_dir = tmp_path / "out"
+    code, out = run(capsys, cmd, "--config", str(cfgp), "--out", str(out_dir))
+    assert code == 2
+    assert out.startswith("config error: ") and out.count("\n") == 1
+    assert message in out
+    assert not out_dir.exists()
+
+
+def test_bench_rho_zero_runs_where_no_kind_divides_by_it(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(dict(_BENCH, rho=0,
+                                    estimators=["reinforce", "fourier_cv_alt"])))
+    code, _ = run(capsys, "bench", "--config", str(cfgp),
+                  "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "bench_reinforce.csv").exists()
+    assert (tmp_path / "bench_fourier_cv_alt.csv").exists()
+
+
+def test_module_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(boolcube.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "boolcube.cli", *argv],
+                              env=env, capture_output=True, text=True)
+
+    done = cli("selftest", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert (tmp_path / "selftest.csv").exists()
+    done = cli("bench", "--rho", "1.5", "--out", str(tmp_path / "bad"))
+    assert done.returncode == 2
+    assert done.stdout.startswith("config error: ")
+    assert not (tmp_path / "bad").exists()

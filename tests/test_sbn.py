@@ -382,13 +382,14 @@ def test_online_track_equals_batch_track(monkeypatch):
     monkeypatch.setattr("boolcube.sbn.Trainer", Recording)
     model, qnet, baselines = build_toy((4, 3), 36, seed=66,
                                        baseline_hidden=8, g_hidden=8)
-    cfg = TrainConfig(estimator=EstimatorConfig("combined", rho=0.5),
-                      steps=60, seed=67, learning_rate=0.02, minibatch=4,
-                      variance_decay=0.9)
+    cfg = TrainConfig(estimator=EstimatorConfig("combined", rho=0.5,
+                                                baseline_decay=0.9),
+                      steps=60, seed=67, learning_rate=0.02, minibatch=4)
     res = train(model, qnet, baselines, bars_dataset(16, seed=7), cfg)
     assert sorted(seen) == [0, 1]
     for li, series in seen.items():
-        want = variance_ema_track(np.array(series), cfg.variance_decay)
+        want = variance_ema_track(np.array(series),
+                                  cfg.estimator.baseline_decay)
         assert np.max(np.abs(res.log_variance[:, li] - want)) < 1e-12, li
 
 
@@ -489,8 +490,6 @@ def test_train_config_validation():
         TrainConfig(estimator=est, steps=10, seed=1, learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(estimator=est, steps=10, seed=1, momentum=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(estimator=est, steps=10, seed=1, variance_decay=1.0)
     with pytest.raises(ValueError, match="exact_inner"):
         TrainConfig(estimator=EstimatorConfig("fourier_cv", exact_inner=True),
                     steps=10, seed=1)
@@ -498,6 +497,9 @@ def test_train_config_validation():
     cfg = TrainConfig(estimator=est, steps=10, seed=1)
     assert cfg.summary().startswith("estimator=reinforce[")
     assert "steps=10" in cfg.summary()
+    # one decay, the estimator's, printed in its label
+    assert "variance_decay" not in cfg.summary()
+    assert "decay=0.99" in cfg.estimator.label()
 
 
 # ---------------------------------------------------------------------------
