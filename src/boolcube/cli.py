@@ -456,7 +456,10 @@ def _run_train(cfg: dict) -> int:
             g_act=cfg["g_act"])
     except ValueError as e:
         raise ConfigError(str(e))
-    header = _resolved_line("train", cfg)
+    # The generator's keys do not apply to a run on a dataset file.
+    header = _resolved_line("train", cfg if cfg["dataset"] is None else {
+        k: v for k, v in cfg.items() if k not in (
+            "obs_width", "dataset_count", "dataset_seed", "write_dataset")})
     try:
         result = train(model, qnet, baselines, data, tc)
     except TrainingDiverged as e:

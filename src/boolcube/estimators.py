@@ -2,10 +2,10 @@
 
 Every estimator draws x from the product distribution and returns a
 length-n contribution vector whose expectation (over x and any inner
-resampling) equals the exact gradient.  The one deliberate exception is
-straight_through, which is exact only when its derivative oracle is the
-true multilinear derivative; with a relaxation's derivative (network
-training) it is biased, and the enumeration oracle measures the gap.
+resampling) equals the exact gradient.  The two deliberate exceptions,
+straight_through and combined's taylor_at_sample form, are noted with
+the other kinds beside the kernel; the enumeration oracle measures
+their bias.
 
 Throughout, score_i(x) = d log p(x) / d p_i = 2 phi_i(x) / sigma_i,
 which is 1/p_i at x_i = +1 and -1/(1-p_i) at x_i = -1.
@@ -14,7 +14,7 @@ Each kind's algebra is written once, in one batched kernel: the
 score-weighted integrand minus a control variate, plus the variate's
 expected contribution where it is not zero.  The trainer in `sbn` feeds
 it parts from the belief net.  Everything else here calls it through one
-cube front end at a batch of rows: one row for the per-sample functions,
+cube front end at a batch of rows: one row for `contribution`,
 the rows drawn for the sampling functions, all 2^n points for the exact
 oracles.  Inner smoothing averages k resampling draws of every row from
 the caller's stream.  The oracles pass no stream and get the exact
@@ -51,13 +51,7 @@ __all__ = [
     "score",
     "log_prob",
     "derivative_tables",
-    "reinforce",
-    "reinforce_const_baseline",
-    "straight_through",
-    "muprop",
-    "fourier_cv",
-    "fourier_cv_alt",
-    "combined",
+    "contribution",
     "single_sample",
     "expected_value_by_enumeration",
     "variance_by_enumeration",
@@ -92,9 +86,7 @@ class EstimatorConfig:
 
     exact_inner replaces inner Monte Carlo by the exactly smoothed
     function (k is then ignored).  taylor_at_sample switches `combined`
-    to the variant whose first-order term uses the derivative at the
-    sampled point with no analytic correction; that variant is biased,
-    which the enumeration oracle quantifies.
+    to its biased variant, noted with the kinds beside the kernel.
     """
 
     kind: str
@@ -221,6 +213,32 @@ def derivative_tables(f: BooleanFunction) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The kernel and what it alone knows about each kind.
+#
+# The kinds, with sc = score(x), mu = 2p - 1 and T_rho the noise operator:
+# - reinforce: f(x) * sc.  Unbiased, since d E[f] / d p_i = E[f sc_i].
+# - reinforce_const_baseline: (f(x) - b) * sc.  E[sc] = 0, so it is
+#   unbiased for any b that does not depend on x.
+# - straight_through: 2 * D f(x), the factor 2 being d mu_i / d p_i.
+#   Unbiased only when the derivative oracle is the exact multilinear
+#   derivative; a relaxation's derivative (network training) biases it.
+# - muprop: (f(x) - value - <gradient, x - mu>) * sc + 2 * gradient.
+#   E[(x_j - mu_j) sc_i] is 2 at j = i and 0 otherwise, so the added
+#   2 * gradient is the subtracted term's mean, for ANY (value, gradient).
+# - fourier_cv: (f(x) - g(x) + T_rho g(x) / rho) * sc.  The variate
+#   g - T_rho g / rho has no degree-one coefficients (rho^|S| cancels
+#   1/rho at |S| = 1), so it is unbiased for any g.  A k-sample inner
+#   estimate of T_rho g is unbiased given x, and the kind is linear in it.
+# - fourier_cv_alt: (f(x) - g(x) + T_rho g(x) + T_{1-rho} g(x)) * sc.
+#   Degree-one coefficients cancel as 1 - rho - (1 - rho) = 0, so it is
+#   unbiased for any g and any rho in [0, 1].
+# - combined: t(x) * sc + 2 alpha * gradient, with t(x) = f(x) - b - value
+#   - alpha <gradient, x - mu> - beta (g(x) - T_rho g(x) / rho).  It sums
+#   the variates of reinforce_const_baseline, muprop and fourier_cv, so it
+#   is unbiased for any b that does not depend on x (it may depend on what
+#   conditions the problem, e.g. the observation), any Taylor data and any
+#   g.  With taylor_at_sample the
+#   linear term takes the derivative at x, whose score-weighted mean has
+#   no closed form, and adds no correction: that form is biased.
 
 def _contributions(cfg: EstimatorConfig, x: np.ndarray, p: np.ndarray,
                    mu: np.ndarray, *, f, g, smoothed, taylor, deriv,
@@ -337,97 +355,19 @@ def _cube_contributions(cfg: EstimatorConfig, f: BooleanFunction,
         deriv=lambda: _derivative_at(derivs, f, xs, dist), baseline=baseline)
 
 
-def _at_point(cfg: EstimatorConfig, f, x: np.ndarray,
-              dist: ProductDistribution, rng=None, **oracles) -> np.ndarray:
-    """The kernel on the single point x, as a batch of one row."""
+def contribution(cfg: EstimatorConfig, f, x: np.ndarray,
+                 dist: ProductDistribution, rng=None, g=None,
+                 baseline: float = 0.0, taylor=None,
+                 derivs=None) -> np.ndarray:
+    """The contribution vector of kind cfg.kind at the point x.
+
+    The parts are `single_sample`'s; f may be None for straight_through,
+    which reads only derivs.  Inner smoothing draws from rng, and is
+    exact without one.
+    """
     return _cube_contributions(cfg, f, dist, np.asarray(x)[None, :], rng,
-                               **oracles)[0]
-
-
-def reinforce(f: BooleanFunction, x: np.ndarray,
-              dist: ProductDistribution) -> np.ndarray:
-    """f(x) * score(x)."""
-    return _at_point(EstimatorConfig("reinforce"), f, x, dist)
-
-
-def reinforce_const_baseline(f: BooleanFunction, x: np.ndarray,
-                             dist: ProductDistribution, c: float) -> np.ndarray:
-    """(f(x) - c) * score(x); unbiased for any constant c."""
-    return _at_point(EstimatorConfig("reinforce_const_baseline"), f, x, dist,
-                     baseline=float(c))
-
-
-def straight_through(deriv, x: np.ndarray,
-                     dist: ProductDistribution) -> np.ndarray:
-    """2 * d f / d x_i at x (the factor 2 is d mu_i / d p_i).
-
-    Unbiased only when `deriv` is the exact multilinear derivative;
-    callers passing a relaxation's derivative get the biased estimator.
-    """
-    return _at_point(EstimatorConfig("straight_through"), None, x, dist,
-                     derivs=deriv)
-
-
-def muprop(f: BooleanFunction, taylor: MeanTaylor, x: np.ndarray,
-           dist: ProductDistribution) -> np.ndarray:
-    """Score-weighted residual after a first-order expansion at the mean.
-
-    The subtracted linear term's score-weighted expectation is exactly
-    2 * gradient_i (since E[(x_j - mu_j) score_i] = 2 at j = i and 0
-    otherwise), so adding 2 * gradient_i back keeps the estimator
-    unbiased for ANY supplied (value, gradient) pair.
-    """
-    return _at_point(EstimatorConfig("muprop"), f, x, dist, taylor=taylor)
-
-
-def fourier_cv(f: BooleanFunction, g: BooleanFunction, x: np.ndarray,
-               dist: ProductDistribution, rho: float, k: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """(f(x) - g(x) + smoothed_g(x)/rho) * score(x).
-
-    The subtracted variate g - T_rho(g)/rho has zero degree-one
-    coefficients (the rho^|S| scaling cancels rho exactly at |S| = 1),
-    so the estimator is unbiased for any g; the inner smoothing is a
-    k-sample Monte Carlo value, conditionally unbiased given x.
-    """
-    cfg = EstimatorConfig("fourier_cv", rho=rho, t_rho_samples=k)
-    return _at_point(cfg, f, x, dist, rng, g=g)
-
-
-def fourier_cv_alt(f: BooleanFunction, g: BooleanFunction, x: np.ndarray,
-                   dist: ProductDistribution, rho: float, k: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """(f(x) - g(x) + smoothed(rho) + smoothed(1-rho)) * score(x).
-
-    Degree-one coefficients of g - T_rho(g) - T_{1-rho}(g) cancel as
-    1 - rho - (1-rho) = 0; valid for any rho in [0, 1].
-    """
-    cfg = EstimatorConfig("fourier_cv_alt", rho=rho, t_rho_samples=k)
-    return _at_point(cfg, f, x, dist, rng, g=g)
-
-
-def combined(f: BooleanFunction, b: float, taylor: MeanTaylor,
-             g: BooleanFunction, x: np.ndarray, dist: ProductDistribution,
-             cfg: EstimatorConfig, rng: np.random.Generator,
-             deriv=None) -> np.ndarray:
-    """All variance-reduction pieces at once.
-
-    t(x) = f(x) - b - value - alpha*<gradient, x-mu> - beta*(g(x) - smoothed/rho)
-    contribution_i = t(x)*score_i(x) + alpha*2*gradient_i
-
-    b is a scalar that must not depend on x (it may depend on whatever
-    conditions the problem, e.g. the observation); with that restriction
-    the estimator is unbiased for any b, taylor, and g.
-
-    With cfg.taylor_at_sample, the linear term uses the derivative at x
-    (supply `deriv`) and no correction is added; that form is biased.
-    """
-    if cfg.kind != "combined":
-        raise ValueError("cfg.kind must be 'combined'")
-    if cfg.taylor_at_sample and deriv is None:
-        raise ValueError("taylor_at_sample needs a derivative oracle")
-    return _at_point(cfg, f, x, dist, rng, g=g, baseline=float(b),
-                     taylor=taylor, derivs=deriv)
+                               g=g, baseline=baseline, taylor=taylor,
+                               derivs=derivs)[0]
 
 
 def single_sample(cfg: EstimatorConfig, f: BooleanFunction,
@@ -435,9 +375,8 @@ def single_sample(cfg: EstimatorConfig, f: BooleanFunction,
                   g=None, baseline: float = 0.0, taylor=None,
                   derivs=None) -> np.ndarray:
     """Draw one x and return its contribution vector under cfg."""
-    return _cube_contributions(cfg, f, dist, sample(dist, rng, size=1), rng,
-                               g=g, baseline=baseline, taylor=taylor,
-                               derivs=derivs)[0]
+    return contribution(cfg, f, sample(dist, rng, size=1)[0], dist, rng,
+                        g=g, baseline=baseline, taylor=taylor, derivs=derivs)
 
 
 def _require_tables(*fns: BooleanFunction):

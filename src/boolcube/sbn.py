@@ -416,10 +416,7 @@ class Trainer:
         v += (1.0 - d) * innov * innov
         m *= d
         m += (1.0 - d) * flat
-        avg = float(v.mean())
-        if avg <= 0.0:
-            return LOG_VAR_FLOOR
-        return max(float(np.log(avg)), LOG_VAR_FLOOR)
+        return float(_floored_log(v.mean()))
 
     def step(self, y: np.ndarray, rng_latent: np.random.Generator,
              rng_inner: np.random.Generator, step_index: int = 0):
@@ -446,16 +443,15 @@ class Trainer:
             s = draw.raw[li]
             grad_t = contrib * s * (1.0 - s)
             inp = y if li == 0 else xs[li - 1]
-            gW = grad_t.T @ inp / B
-            gb = grad_t.sum(axis=0) / B
+            gW, gb = (g / B for g in self.qnet.links[li].grads(inp, grad_t))
             grads.extend([gW, gb])
             logvars.append(self._track(li, np.concatenate([gW.ravel(), gb])))
 
         # decoder and prior, pathwise
         grads.append(bern_ll_grad_t(xs[-1], model.prior).sum(axis=0) / B)
         for j in range(L):
-            dj = draw.decoder_grad(j)
-            grads.extend([dj.T @ xs[j] / B, dj.sum(axis=0) / B])
+            grads.extend(g / B for g in model.links[j].grads(
+                xs[j], draw.decoder_grad(j)))
 
         # baseline regressions (targets use pre-update values)
         grads.extend(baselines.b.backward(b_cache, (b_val - R) / B))
@@ -541,11 +537,13 @@ def variance_ema_track(history: np.ndarray, decay: float) -> np.ndarray:
     if z.ndim == 1:
         z = z[:, None]
     _, v = ema_mean_and_variance(z, decay)
-    avg = v.mean(axis=1)
-    out = np.full(avg.shape, LOG_VAR_FLOOR)
-    pos = avg > 0.0
-    out[pos] = np.maximum(np.log(avg[pos]), LOG_VAR_FLOOR)
-    return out
+    return _floored_log(v.mean(axis=1))
+
+
+@np.errstate(divide="ignore")
+def _floored_log(avg):
+    """log of an EMA variance, floored at LOG_VAR_FLOOR (a zero included)."""
+    return np.maximum(np.log(avg), LOG_VAR_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,23 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     assert "non-finite" in out
 
 
+def test_train_header_with_dataset_file_omits_generator_keys(tmp_path, capsys):
+    # a 6-row, 4-column file: the run takes its width and rows, so the
+    # header must not record the generator's settings
+    data = tmp_path / "data.txt"
+    data.write_text("0110\n1001\n1100\n0011\n1010\n0101\n")
+    cfgp = train_config(tmp_path, widths=[2], minibatch=3, dataset=str(data))
+    out_dir = tmp_path / "out"
+    code, _ = run(capsys, "train", "--config", cfgp, "--out", str(out_dir))
+    assert code == 0
+    header = read(out_dir / "train_metrics.csv").splitlines()[0]
+    assert "dataset=%s" % data in header
+    for key in ("obs_width", "dataset_count", "dataset_seed", "write_dataset"):
+        assert " %s=" % key not in header, key
+    assert "model.link0.W\t4x2\t" in read(out_dir / "train_checkpoint.txt")
+    assert not (out_dir / "train_dataset.txt").exists()
+
+
 def test_train_missing_dataset_exits_2(tmp_path, capsys):
     cfgp = train_config(tmp_path, dataset=str(tmp_path / "nope.txt"))
     code, out = run(capsys, "train", "--config", cfgp, "--out", str(tmp_path))

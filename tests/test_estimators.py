@@ -17,30 +17,24 @@ from boolcube import (
     ProductDistribution,
     SubsetIndex,
     benchmark_variance,
-    combined,
+    contribution,
     derivative_tables,
     ema_mean_and_variance,
     enumerate_points,
     estimate_gradient,
     exact_gradient,
     expected_value_by_enumeration,
-    fourier_cv,
-    fourier_cv_alt,
     inverse_transform,
     log_prob,
     multilinear_gradient,
-    muprop,
     noise_exact,
     parse_function,
     phi_matrix,
     point,
     point_to_index,
-    reinforce,
-    reinforce_const_baseline,
     sample,
     score,
     single_sample,
-    straight_through,
     stream,
     transform,
     variance_by_enumeration,
@@ -146,7 +140,7 @@ def test_derivative_tables_match_multilinear_gradient():
 # Per-sample hand examples.
 
 def test_reinforce_hand_example():
-    out = reinforce(MAJ3, point([1, 1, 1]), U3)
+    out = contribution(EstimatorConfig("reinforce"), MAJ3, point([1, 1, 1]), U3)
     assert out == pytest.approx([2.0, 2.0, 2.0], abs=1e-15)
 
 
@@ -161,8 +155,9 @@ def test_const_baseline_zero_matches_reinforce():
     f = random_function(3, rng)
     dist = random_dist(3, rng)
     for x in enumerate_points(3):
-        a = reinforce(f, x, dist)
-        b = reinforce_const_baseline(f, x, dist, 0.0)
+        a = contribution(EstimatorConfig("reinforce"), f, x, dist)
+        b = contribution(EstimatorConfig("reinforce_const_baseline"), f, x,
+                         dist, baseline=0.0)
         assert np.array_equal(a, b)
 
 
@@ -186,11 +181,14 @@ def test_const_baseline_variance_ordering():
 
 def test_straight_through_hand_examples():
     dictator = parse_function("parity(1)").build()
+    st = EstimatorConfig("straight_through")
     d = derivative_tables(dictator)
-    out = straight_through(d, point([-1, 1]), ProductDistribution([0.3, 0.6]))
+    out = contribution(st, None, point([-1, 1]),
+                       ProductDistribution([0.3, 0.6]), derivs=d)
     assert out == pytest.approx([0.0, 2.0], abs=1e-15)
     # at a unanimous majority vote every single flip is irrelevant
-    out = straight_through(derivative_tables(MAJ3), point([1, 1, 1]), U3)
+    out = contribution(st, None, point([1, 1, 1]), U3,
+                       derivs=derivative_tables(MAJ3))
     assert out == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
 
@@ -251,8 +249,8 @@ def test_front_ends_accept_a_callable_derivative():
 
 
 def test_per_sample_functions_match_single_sample():
-    # at k = 1 and k = 3, a per-sample function at the point single_sample
-    # draws, with the stream left where that draw leaves it, gives its vector
+    # at k = 1 and k = 3, contribution at the point single_sample draws,
+    # with the stream left where that draw leaves it, gives its vector
     cases = [(MAJ3, U3),
              (parse_function("randpoly(5,3,0.5,7)").build(),
               ProductDistribution([0.2, 0.35, 0.5, 0.65, 0.8]))]
@@ -263,23 +261,30 @@ def test_per_sample_functions_match_single_sample():
         at_sample = EstimatorConfig("combined", rho=0.5, t_rho_samples=k,
                                     taylor_at_sample=True)
         exact = EstimatorConfig("combined", t_rho_samples=k, exact_inner=True)
+        fcv = EstimatorConfig("fourier_cv", rho=0.5, t_rho_samples=k)
+        alt = EstimatorConfig("fourier_cv_alt", rho=0.5, t_rho_samples=k)
         pairs = [
-            ("reinforce", lambda x, rng: reinforce(f, x, dist)),
-            ("reinforce_const_baseline",
-             lambda x, rng: reinforce_const_baseline(f, x, dist, 0.0)),
-            ("straight_through", lambda x, rng: straight_through(tables, x, dist)),
-            ("muprop", lambda x, rng: muprop(f, taylor, x, dist)),
-            (EstimatorConfig("fourier_cv", t_rho_samples=k),
-             lambda x, rng: fourier_cv(f, f, x, dist, 0.5, k, rng)),
-            (EstimatorConfig("fourier_cv_alt", t_rho_samples=k),
-             lambda x, rng: fourier_cv_alt(f, f, x, dist, 0.5, k, rng)),
-            (plain, lambda x, rng: combined(f, 0.0, taylor, f, x, dist,
-                                            plain, rng)),
-            (at_sample, lambda x, rng: combined(
-                f, 0.0, taylor, f, x, dist, at_sample, rng, deriv=tables)),
+            ("reinforce", lambda x, rng: contribution(
+                EstimatorConfig("reinforce"), f, x, dist)),
+            ("reinforce_const_baseline", lambda x, rng: contribution(
+                EstimatorConfig("reinforce_const_baseline"), f, x, dist,
+                baseline=0.0)),
+            ("straight_through", lambda x, rng: contribution(
+                EstimatorConfig("straight_through"), None, x, dist,
+                derivs=tables)),
+            ("muprop", lambda x, rng: contribution(
+                EstimatorConfig("muprop"), f, x, dist, taylor=taylor)),
+            (fcv, lambda x, rng: contribution(fcv, f, x, dist, rng, g=f)),
+            (alt, lambda x, rng: contribution(alt, f, x, dist, rng, g=f)),
+            (plain, lambda x, rng: contribution(
+                plain, f, x, dist, rng, g=f, baseline=0.0, taylor=taylor)),
+            (at_sample, lambda x, rng: contribution(
+                at_sample, f, x, dist, rng, g=f, baseline=0.0, taylor=taylor,
+                derivs=tables)),
             # exact smoothing draws nothing, so any other stream will do
-            (exact, lambda x, rng: combined(f, 0.0, taylor, f, x, dist,
-                                            exact, stream(99))),
+            (exact, lambda x, rng: contribution(
+                exact, f, x, dist, stream(99), g=f, baseline=0.0,
+                taylor=taylor)),
         ]
         for cfg, one in pairs:
             cfg = EstimatorConfig(cfg) if isinstance(cfg, str) else cfg
@@ -294,7 +299,8 @@ def test_muprop_hand_example():
     taylor = MeanTaylor.from_function(MAJ3, U3)
     assert taylor.value == pytest.approx(0.0, abs=1e-15)
     assert taylor.gradient == pytest.approx([0.5, 0.5, 0.5], abs=1e-14)
-    out = muprop(MAJ3, taylor, point([1, 1, 1]), U3)
+    out = contribution(EstimatorConfig("muprop"), MAJ3, point([1, 1, 1]), U3,
+                       taylor=taylor)
     # residual -0.5 times score 2 cancels the +2*0.5 correction exactly
     assert out == pytest.approx([0.0, 0.0, 0.0], abs=1e-13)
 
@@ -322,14 +328,16 @@ def test_muprop_zero_variance_on_degree_one():
 def test_fourier_cv_with_zero_g_is_reinforce():
     g0 = BooleanFunction(3, table=np.zeros(8))
     rng = stream(10)
+    cfg = EstimatorConfig("fourier_cv", rho=0.5, t_rho_samples=1)
     for x in enumerate_points(3):
-        a = fourier_cv(MAJ3, g0, x, U3, rho=0.5, k=1, rng=rng)
-        assert np.array_equal(a, reinforce(MAJ3, x, U3))
+        a = contribution(cfg, MAJ3, x, U3, rng, g=g0)
+        assert np.array_equal(
+            a, contribution(EstimatorConfig("reinforce"), MAJ3, x, U3))
 
 
 def test_fourier_cv_rejects_rho_zero():
     with pytest.raises(ValueError):
-        fourier_cv(MAJ3, MAJ3, point([1, 1, 1]), U3, rho=0.0, k=1, rng=stream(0))
+        EstimatorConfig("fourier_cv", rho=0.0)
 
 
 def test_variate_spectrum_degree_one_vanishes():
@@ -379,8 +387,10 @@ def test_combined_alpha_beta_zero_is_centered_reinforce():
     taylor = MeanTaylor.from_function(MAJ3, U3)
     cfg = EstimatorConfig("combined", alpha=0.0, beta=0.0, rho=0.5)
     for x in enumerate_points(3):
-        a = combined(MAJ3, 0.0, taylor, MAJ3, x, U3, cfg, stream(14))
-        b = reinforce_const_baseline(MAJ3, x, U3, taylor.value)
+        a = contribution(cfg, MAJ3, x, U3, stream(14), g=MAJ3, baseline=0.0,
+                         taylor=taylor)
+        b = contribution(EstimatorConfig("reinforce_const_baseline"), MAJ3, x,
+                         U3, baseline=taylor.value)
         assert np.max(np.abs(a - b)) < 1e-14
 
 
@@ -391,16 +401,22 @@ def test_combined_alpha_one_beta_zero_is_muprop():
     taylor = MeanTaylor.from_function(f, dist)
     cfg = EstimatorConfig("combined", alpha=1.0, beta=0.0, rho=0.5)
     for x in enumerate_points(3):
-        a = combined(f, 0.0, taylor, f, x, dist, cfg, stream(16))
-        b = muprop(f, taylor, x, dist)
+        a = contribution(cfg, f, x, dist, stream(16), g=f, baseline=0.0,
+                         taylor=taylor)
+        b = contribution(EstimatorConfig("muprop"), f, x, dist, taylor=taylor)
         assert np.max(np.abs(a - b)) < 1e-13
 
 
-def test_combined_taylor_at_sample_needs_derivative():
+def test_combined_taylor_at_sample_defaults_to_own_derivative():
+    # without a derivative oracle the linear term reads f's own tables,
+    # as in every batched front end
     cfg = EstimatorConfig("combined", taylor_at_sample=True)
     taylor = MeanTaylor.from_function(MAJ3, U3)
-    with pytest.raises(ValueError, match="derivative"):
-        combined(MAJ3, 0.0, taylor, MAJ3, point([1, 1, 1]), U3, cfg, stream(17))
+    for x in enumerate_points(3):
+        a = contribution(cfg, MAJ3, x, U3, stream(17), g=MAJ3, taylor=taylor)
+        b = contribution(cfg, MAJ3, x, U3, stream(17), g=MAJ3, taylor=taylor,
+                         derivs=derivative_tables(MAJ3))
+        assert np.array_equal(a, b)
 
 
 def test_combined_taylor_at_sample_bias_measured():
@@ -645,7 +661,7 @@ def test_single_sample_matches_manual_reinforce():
     cfg = EstimatorConfig("reinforce")
     out = single_sample(cfg, MAJ3, U3, stream(24))
     x = sample(U3, stream(24), size=1)[0]
-    assert np.array_equal(out, reinforce(MAJ3, x, U3))
+    assert np.array_equal(out, contribution(cfg, MAJ3, x, U3))
 
 
 def test_estimate_gradient_concentrates():
