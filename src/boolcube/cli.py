@@ -25,6 +25,7 @@ from .estimators import (
     EstimatorConfig,
     MeanTaylor,
     benchmark_variance,
+    check_trials,
     ema_mean_and_variance,
     expected_value_by_enumeration,
     log_prob,
@@ -178,7 +179,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "baseline": (0.0, _float_in()),
         "exact_inner": (False, _bool),
         "taylor_at_sample": (False, _bool),
-        "trials": (100000, _int_in(2)),
+        "trials": (100000, _int_in()),
         "seed": (17, _SEED),
         "out": (".", _string),
     },
@@ -379,6 +380,7 @@ def _run_bench(cfg: dict) -> int:
                                 exact_inner=cfg["exact_inner"],
                                 taylor_at_sample=cfg["taylor_at_sample"])
                 for kind in cfg["estimators"]]
+        check_trials(cfg["trials"])
     except ValueError as e:
         raise ConfigError(str(e))
     f = spec.build()

@@ -6,7 +6,11 @@ import os
 import platform
 
 import numpy as np
-import scipy
+
+try:  # a test dependency only; the platform line names it when present
+    import scipy
+except ImportError:
+    scipy = None
 
 
 def _blas() -> str:
@@ -19,9 +23,11 @@ def _blas() -> str:
 
 
 def _platform_line() -> str:
-    return ("platform: Python %s, numpy %s, scipy %s, BLAS %s, cpu_count %s"
-            % (platform.python_version(), np.__version__, scipy.__version__,
-               _blas(), os.cpu_count()))
+    libs = "numpy %s" % np.__version__
+    if scipy is not None:
+        libs += ", scipy %s" % scipy.__version__
+    return ("platform: Python %s, %s, BLAS %s, cpu_count %s"
+            % (platform.python_version(), libs, _blas(), os.cpu_count()))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -356,6 +356,7 @@ _LIBRARY_OWNED = [
      "taylor_at_sample applies only to kind 'combined'"),
     ("bench", {"rho": 1.5}, "rho must lie in [0, 1]"),
     ("bench", {"rho": 0, "estimators": ["fourier_cv"]}, "divides by rho"),
+    ("bench", {"trials": 1}, "trials must be at least 2"),
     ("train", {"variance_decay": 1.0}, "baseline_decay must lie in [0, 1)"),
     ("train", {"momentum": 1.0}, "momentum must lie in [0, 1)"),
     ("train", {"learning_rate": 0}, "learning rates must be positive"),

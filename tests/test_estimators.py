@@ -1,6 +1,7 @@
 """Gradient estimators: identities, unbiasedness, variance oracles, benchmark."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import boolcube
 from boolcube import (
+    KINDS,
     BooleanFunction,
     EstimatorConfig,
     GradientEstimate,
@@ -40,6 +42,7 @@ from boolcube import (
     variance_by_enumeration,
     weights,
 )
+from boolcube.estimators import _ema_last_variance
 from boolcube.operators import discrete_derivative
 
 MAJ3 = parse_function("maj(3)").build()
@@ -604,14 +607,30 @@ def ema_loop(z, decay):
     return np.array(ms), np.array(vs)
 
 
+EMA_LENGTHS = (1, 2, 63, 64, 65, 200, 1000)  # straddle the 64-row scan blocks
+EMA_DECAYS = (0.0, 1e-3, 0.5, 0.9, 0.99, 0.9999)
+
+
 def test_ema_matches_reference_loop():
     rng = stream(22)
-    z = rng.normal(size=(200, 3))
-    for decay in (0.0, 0.5, 0.9, 0.99):
+    for length, shape, decay in itertools.product(
+            EMA_LENGTHS, ((), (3,)), EMA_DECAYS):
+        z = rng.normal(size=(length,) + shape)
         m, v = ema_mean_and_variance(z, decay)
         m_ref, v_ref = ema_loop(z, decay)
+        assert m.shape == v.shape == z.shape
         assert np.max(np.abs(m - m_ref)) < 1e-12
         assert np.max(np.abs(v - v_ref)) < 1e-12
+
+
+def test_benchmark_last_ema_variance_matches_full_track():
+    # benchmark_variance reads v[-1] from one dot product, not a v scan
+    rng = stream(31)
+    for length, decay in itertools.product(EMA_LENGTHS, EMA_DECAYS):
+        z = rng.normal(size=(length, 3))
+        want = ema_mean_and_variance(z, decay)[1][-1]
+        got = _ema_last_variance(z, decay)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_ema_decay_zero_gives_squared_innovations():
@@ -644,14 +663,32 @@ def test_ema_validation():
         ema_mean_and_variance(np.zeros((3, 2)), 1.0)
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal dominates start-up; only the EMA filter loads it
-    code = "import boolcube, sys; assert 'scipy.signal' not in sys.modules"
+_NO_SCIPY = """
+import sys
+import boolcube
+from boolcube.cli import main
+
+def scipy_modules():
+    return [name for name in sys.modules if name.split(".")[0] == "scipy"]
+
+assert not scipy_modules(), scipy_modules()
+assert main(["bench", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_import_and_bench_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"function": "maj(3)", "trials": 500, "k": 2,
+                                "estimators": list(KINDS)}))
     src = os.path.dirname(os.path.dirname(boolcube.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(cfgp),
+                           str(tmp_path / "out")], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert len(list((tmp_path / "out").iterdir())) == len(KINDS)
 
 
 # ---------------------------------------------------------------------------
