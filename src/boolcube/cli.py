@@ -23,7 +23,6 @@ from .cube import ProductDistribution, enumerate_points, weights
 from .estimators import (
     KINDS,
     EstimatorConfig,
-    MeanTaylor,
     benchmark_variance,
     check_trials,
     ema_mean_and_variance,

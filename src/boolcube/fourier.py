@@ -20,7 +20,6 @@ from .cube import (
     MAX_N,
     ProductDistribution,
     SubsetIndex,
-    enumerate_points,
     phi_matrix,
     point_to_index,
     points_to_indices,
@@ -44,10 +43,11 @@ COEFF_DROP = 1e-14
 
 
 def _check_dimension(n: int) -> int:
-    """Refuse a dimension whose 2^n arrays the library does not allocate."""
-    if n > MAX_N:
-        raise ValueError("dimension %d exceeds the supported maximum of %d"
-                         % (n, MAX_N))
+    """Refuse a dimension outside [1, MAX_N]: below 1 there is no cube,
+    above MAX_N the library does not allocate the 2^n arrays."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError("dimension %d lies outside the supported range "
+                         "[1, %d]" % (n, MAX_N))
     return int(n)
 
 
@@ -71,72 +71,39 @@ def _basis(ph: np.ndarray) -> np.ndarray:
 
 
 class BooleanFunction:
-    """A real-valued function on {-1,+1}^n.
+    """A real-valued function on {-1,+1}^n, held as its read-only truth
+    table: entry m is the value at the point with bitmask m."""
 
-    Wraps either a full truth table (exact fast paths available) or an
-    opaque callable (point evaluations only).  `values` on an opaque
-    function evaluates all 2^n points once and caches the table.
-    """
-
-    def __init__(self, n: int, *, table: np.ndarray | None = None,
-                 func: Callable[[np.ndarray], float] | None = None,
-                 name: str = ""):
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        if (table is None) == (func is None):
-            raise ValueError("provide exactly one of table= or func=")
+    def __init__(self, n: int, *, table: np.ndarray, name: str = ""):
         self.n = _check_dimension(n)
         self.name = name
-        self._func = func
-        if table is not None:
-            t = np.asarray(table, dtype=np.float64).reshape(-1).copy()
-            if t.shape[0] != (1 << self.n):
-                raise ValueError("truth table must have 2^n entries")
-            if not np.all(np.isfinite(t)):
-                raise ValueError("truth table must be finite")
-            t.flags.writeable = False
-            self._table: np.ndarray | None = t
-        else:
-            self._table = None
-
-    @classmethod
-    def from_callable(cls, n: int, func: Callable[[np.ndarray], float],
-                      name: str = "") -> "BooleanFunction":
-        return cls(n, func=func, name=name)
-
-    @property
-    def has_table(self) -> bool:
-        return self._table is not None
+        t = np.asarray(table, dtype=np.float64).reshape(-1).copy()
+        if t.shape[0] != (1 << self.n):
+            raise ValueError("truth table must have 2^n entries")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("truth table must be finite")
+        t.flags.writeable = False
+        self._table = t
 
     def value(self, x: np.ndarray) -> float:
         """Evaluate at one point."""
-        if self._table is not None:
-            return float(self._table[point_to_index(x)])
-        return float(self._func(np.asarray(x)))
+        return float(self._table[point_to_index(x)])
 
     def values(self) -> np.ndarray:
-        """The full truth table, computing and caching it if needed."""
-        if self._table is None:
-            pts = enumerate_points(self.n)
-            t = np.array([float(self._func(pts[m])) for m in range(pts.shape[0])])
-            t.flags.writeable = False
-            self._table = t
+        """The full truth table (read-only)."""
         return self._table
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate a batch of points (rows of xs)."""
         xs = np.asarray(xs)
-        if self._table is not None:
-            if xs.shape[-1] != self.n:
-                raise ValueError("points have %d coordinates, the function %d"
-                                 % (xs.shape[-1], self.n))
-            return self._table[points_to_indices(xs)]
-        return np.array([float(self._func(row)) for row in xs])
+        if xs.shape[-1] != self.n:
+            raise ValueError("points have %d coordinates, the function %d"
+                             % (xs.shape[-1], self.n))
+        return self._table[points_to_indices(xs)]
 
     def __repr__(self) -> str:
-        kind = "table" if self._table is not None else "callable"
         label = " %r" % self.name if self.name else ""
-        return "BooleanFunction(n=%d, %s%s)" % (self.n, kind, label)
+        return "BooleanFunction(n=%d, table%s)" % (self.n, label)
 
 
 class FourierExpansion:

@@ -33,7 +33,6 @@ from boolcube import (
     parse_function,
     phi_matrix,
     point,
-    point_to_index,
     sample,
     score,
     single_sample,
@@ -203,52 +202,6 @@ def test_straight_through_unbiased_with_exact_derivative():
         dist = random_dist(4, rng)
         enum = expected_value_by_enumeration(cfg, f, dist)
         assert np.max(np.abs(enum - exact_gradient(f, dist))) < 1e-10
-
-
-def test_batched_front_ends_accept_an_expansion_as_derivative():
-    # at +-1 points the expansion's multilinear gradient is the
-    # half-difference of its table, so both oracles give the same draws
-    cases = [(MAJ3, U3),
-             (parse_function("randpoly(6,3,0.5,17)").build(),
-              ProductDistribution([0.2, 0.35, 0.5, 0.6, 0.75, 0.9]))]
-    for f, dist in cases:
-        e, tables = transform(f, dist), derivative_tables(f)
-        for cfg in (EstimatorConfig("straight_through"),
-                    EstimatorConfig("combined", rho=0.5, taylor_at_sample=True)):
-            with_e = estimate_gradient(cfg, f, dist, 2000, 31, derivs=e)
-            with_t = estimate_gradient(cfg, f, dist, 2000, 31, derivs=tables)
-            assert np.max(np.abs(with_e.grad - with_t.grad)) < 1e-12
-            one_e = single_sample(cfg, f, dist, stream(32), derivs=e)
-            one_t = single_sample(cfg, f, dist, stream(32), derivs=tables)
-            assert np.max(np.abs(one_e - one_t)) < 1e-12
-            rep_e = benchmark_variance(cfg, f, dist, 500, 33, derivs=e)
-            rep_t = benchmark_variance(cfg, f, dist, 500, 33, derivs=tables)
-            assert np.max(np.abs(rep_e.mean - rep_t.mean)) < 1e-12
-
-
-def test_front_ends_accept_a_callable_derivative():
-    # a callable reading the tables must give the same draws as the
-    # tables themselves, in every batched front end and both oracles
-    cases = [(MAJ3, U3),
-             (parse_function("randpoly(6,3,0.5,17)").build(),
-              ProductDistribution([0.2, 0.35, 0.5, 0.6, 0.75, 0.9]))]
-    for f, dist in cases:
-        tables = derivative_tables(f)
-
-        def oracle(x):
-            return tables[:, point_to_index(x)]
-
-        for cfg in (EstimatorConfig("straight_through"),
-                    EstimatorConfig("combined", rho=0.5, taylor_at_sample=True)):
-            def runs(d):
-                return [estimate_gradient(cfg, f, dist, 500, 41, derivs=d).grad,
-                        single_sample(cfg, f, dist, stream(42), derivs=d),
-                        benchmark_variance(cfg, f, dist, 300, 43, derivs=d).mean,
-                        expected_value_by_enumeration(cfg, f, dist, derivs=d),
-                        variance_by_enumeration(cfg, f, dist, derivs=d)]
-
-            for a, b in zip(runs(oracle), runs(tables)):
-                assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_per_sample_functions_match_single_sample():
@@ -801,11 +754,41 @@ def test_config_label_golden():
     assert "," not in cfg.label()
 
 
-def test_enumeration_guard_large_n():
-    f = BooleanFunction(11, table=np.ones(2048))
-    with pytest.raises(ValueError, match="n <= 10"):
-        expected_value_by_enumeration(EstimatorConfig("reinforce"), f,
-                                      ProductDistribution.uniform(11))
+def test_enumeration_oracles_at_max_n_match_exact_gradient():
+    # both cube oracles run at the table limit, n = 16.  The mean is the
+    # exact gradient.  With g = f, no baseline and exact smoothing the
+    # score-weighted term t is f for reinforce and T_rho f / rho - E f -
+    # <grad / 2, x - mu> for combined, whose mean is then all in its
+    # constant grad; the variance is E[t^2 score^2] less (grad - constant)^2.
+    rng = stream(23)
+    f = random_function(16, rng)
+    dist = random_dist(16, rng)
+    grad = exact_gradient(f, dist)
+    pts = enumerate_points(16)
+    w = weights(dist)
+    table = f.values()
+    combined_t = (noise_exact(f, 0.5, dist).values() / 0.5 - w @ table
+                  - (pts - dist.mu) @ (grad / 2.0))
+    for cfg, t, constant in (
+            (EstimatorConfig("reinforce"), table, 0.0),
+            (EstimatorConfig("combined", exact_inner=True), combined_t, grad)):
+        mean = expected_value_by_enumeration(cfg, f, dist)
+        assert np.max(np.abs(mean - grad)) < 1e-10, cfg.kind
+        var = variance_by_enumeration(cfg, f, dist)
+        want = (w @ (t[:, None] ** 2 * score(pts, dist) ** 2)
+                - (grad - constant) ** 2)
+        assert np.max(np.abs(var - want)) < 1e-10 * np.max(want), cfg.kind
+
+
+def test_derivative_tables_of_another_dimension_are_refused():
+    # tables of a 4-dim function for a 3-dim problem
+    wrong = derivative_tables(random_function(4, stream(29)))
+    cfg = EstimatorConfig("straight_through")
+    shape = r"shape \(3, 8\), got \(4, 16\)"
+    with pytest.raises(ValueError, match=shape):
+        contribution(cfg, MAJ3, point([1, 1, -1]), U3, derivs=wrong)
+    with pytest.raises(ValueError, match=shape):
+        expected_value_by_enumeration(cfg, MAJ3, U3, derivs=wrong)
 
 
 def test_mean_taylor_read_only():

@@ -1,7 +1,10 @@
-"""Export lists: every listed name exists, and removed names stay gone."""
+"""Export lists: every listed name exists, removed names stay gone, and
+every imported name is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import boolcube
 
@@ -29,3 +32,26 @@ def test_removed_per_sample_functions_are_not_exported():
             assert name not in mod.__all__, (mod.__name__, name)
     for name in REMOVED:
         assert not hasattr(boolcube.estimators, name), name
+
+
+def test_callable_backing_is_gone():
+    # a BooleanFunction holds a truth table and nothing else
+    for name in ("from_callable", "has_table"):
+        assert not hasattr(boolcube.BooleanFunction, name), name
+
+
+def test_every_imported_name_is_used():
+    # a name a module imports is read in that module, or re-exported
+    # through its __all__
+    for mod in modules():
+        tree = ast.parse(Path(mod.__file__).read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        used.update(getattr(mod, "__all__", ()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in used, (mod.__name__, name, node.lineno)

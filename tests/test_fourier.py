@@ -138,11 +138,11 @@ def test_inverse_transform_round_trip():
         assert np.abs(back.values() - f.values()).max() < 1e-10
 
 
-def test_transform_requires_table():
-    f = BooleanFunction.from_callable(3, lambda x: float(np.prod(x)))
-    # a callable backing enumerates lazily, so the transform still works
+def test_uniform_transform_of_parity_is_its_top_coefficient():
+    f = parse_function("parity(0,1,2)").build()
     e = transform(f, ProductDistribution.uniform(3))
     assert abs(e.coefficient(SubsetIndex.full(3)) - 1.0) < 1e-12
+    assert len(e) == 1
 
 
 def test_norm_examples_and_monotonicity():
@@ -233,33 +233,21 @@ def test_multilinear_gradient_matches_finite_difference():
         assert abs(grad[j] - num) < 1e-6
 
 
-def test_batch_and_table_caching():
-    calls = []
-
-    def slow(x):
-        calls.append(1)
-        return float(x[0])
-
-    f = BooleanFunction.from_callable(2, slow)
-    assert not f.has_table
-    v = f.values()
-    assert f.has_table
-    assert len(calls) == 4
-    assert np.array_equal(v, f.values())  # cached, no further calls
-    assert len(calls) == 4
-    xs = enumerate_points(2)
-    assert np.array_equal(f.batch(xs), v)
-
-
 def test_dimension_limit_refused_before_allocation():
-    # n = 40 would need 2^40 entries; each entry point refuses it up front
-    with pytest.raises(ValueError, match="exceeds the supported maximum of 16"):
-        BooleanFunction.from_callable(40, lambda x: 0.0)
-    with pytest.raises(ValueError, match="exceeds the supported maximum of 16"):
-        BooleanFunction(40, table=np.zeros(4))
-    with pytest.raises(ValueError, match="exceeds the supported maximum of 16"):
+    # n = 40 would need 2^40 entries, and below 1 there is no cube; each
+    # entry point refuses both up front with the same message
+    outside = r"dimension -?\d+ lies outside the supported range \[1, 16\]"
+    for n in (40, 0, -2):
+        with pytest.raises(ValueError, match=outside):
+            BooleanFunction(n, table=np.zeros(4))
+        with pytest.raises(ValueError, match=outside):
+            FourierExpansion(n, {})
+    with pytest.raises(ValueError, match=outside):
         FourierExpansion(40, {SubsetIndex.of([39]): 1.0})
-    with pytest.raises(ValueError, match="exceeds the supported maximum of 16"):
+    for n in (40, 0, -1):
+        with pytest.raises(ValueError, match=outside):
+            expansion_from_text("# n=%d\n" % n)
+    with pytest.raises(ValueError, match=outside):
         expansion_from_text("# n=40\n-\t1.0\n")
     with pytest.raises(ValueError, match=r"line 2: coordinate index outside \[0, 16\)"):
         expansion_from_text("1\t0.5\n0,39\t1.0\n")
