@@ -9,167 +9,23 @@ small enough to enumerate, which is what the oracles in the test suite
 lean on.
 """
 
-from .cube import (
-    PROB_FLOOR,
-    ProbabilityClampWarning,
-    ProductDistribution,
-    SubsetIndex,
-    correlated_sample,
-    enumerate_points,
-    index_to_point,
-    phi,
-    phi_matrix,
-    phi_set,
-    point,
-    point_to_index,
-    sample,
-    weights,
-)
-from .estimators import (
-    KINDS,
-    EstimatorConfig,
-    GradientEstimate,
-    MeanTaylor,
-    VarianceReport,
-    benchmark_variance,
-    check_trials,
-    contribution,
-    derivative_tables,
-    ema_mean_and_variance,
-    estimate_gradient,
-    expected_value_by_enumeration,
-    log_prob,
-    score,
-    single_sample,
-    variance_by_enumeration,
-)
-from .fourier import (
-    BooleanFunction,
-    FourierExpansion,
-    coefficient_mc,
-    expansion_from_text,
-    expansion_to_text,
-    inverse_transform,
-    multilinear_gradient,
-    norm,
-    transform,
-)
-from .funcspec import FunctionSpec, FunctionSpecError, parse_function
-from .operators import (
-    HypercontractivityReport,
-    discrete_derivative,
-    exact_gradient,
-    expectation,
-    hypercontractivity_check,
-    noise_exact,
-    noise_expansion,
-    noise_mc,
-    numeric_gradient,
-    rho_bound,
-)
-from .rng import stream
-from .sbn import (
-    InferenceNet,
-    SbnBaselines,
-    SbnModel,
-    TrainConfig,
-    TrainResult,
-    TrainingDiverged,
-    Trainer,
-    bars_dataset,
-    build_toy,
-    elbo_sample,
-    enumerate_elbo,
-    exact_log_likelihood,
-    expected_q_logit_gradient,
-    load_checkpoint,
-    load_dataset,
-    named_parameters,
-    restore_checkpoint,
-    sample_q_logit_gradients,
-    save_checkpoint,
-    save_dataset,
-    train,
-    variance_ema_track,
-)
+from . import cube, estimators, fourier, funcspec, operators, rng, sbn
+from .cube import *
+from .estimators import *
+from .fourier import *
+from .funcspec import *
+from .operators import *
+from .rng import *
+from .sbn import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PROB_FLOOR",
-    "ProbabilityClampWarning",
-    "ProductDistribution",
-    "SubsetIndex",
-    "correlated_sample",
-    "enumerate_points",
-    "index_to_point",
-    "phi",
-    "phi_matrix",
-    "phi_set",
-    "point",
-    "point_to_index",
-    "sample",
-    "weights",
-    "KINDS",
-    "EstimatorConfig",
-    "GradientEstimate",
-    "MeanTaylor",
-    "VarianceReport",
-    "benchmark_variance",
-    "check_trials",
-    "contribution",
-    "derivative_tables",
-    "ema_mean_and_variance",
-    "estimate_gradient",
-    "expected_value_by_enumeration",
-    "log_prob",
-    "score",
-    "single_sample",
-    "variance_by_enumeration",
-    "BooleanFunction",
-    "FourierExpansion",
-    "coefficient_mc",
-    "expansion_from_text",
-    "expansion_to_text",
-    "inverse_transform",
-    "multilinear_gradient",
-    "norm",
-    "transform",
-    "FunctionSpec",
-    "FunctionSpecError",
-    "parse_function",
-    "HypercontractivityReport",
-    "discrete_derivative",
-    "exact_gradient",
-    "expectation",
-    "hypercontractivity_check",
-    "noise_exact",
-    "noise_expansion",
-    "noise_mc",
-    "numeric_gradient",
-    "rho_bound",
-    "stream",
-    "InferenceNet",
-    "SbnBaselines",
-    "SbnModel",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingDiverged",
-    "Trainer",
-    "bars_dataset",
-    "build_toy",
-    "elbo_sample",
-    "enumerate_elbo",
-    "exact_log_likelihood",
-    "expected_q_logit_gradient",
-    "load_checkpoint",
-    "load_dataset",
-    "named_parameters",
-    "restore_checkpoint",
-    "sample_q_logit_gradients",
-    "save_checkpoint",
-    "save_dataset",
-    "train",
-    "variance_ema_track",
-    "__version__",
-]
+# Each module's __all__ is its public list; the package re-exports them.
+__all__ = ["__version__"]
+__all__ += cube.__all__
+__all__ += estimators.__all__
+__all__ += fourier.__all__
+__all__ += funcspec.__all__
+__all__ += operators.__all__
+__all__ += rng.__all__
+__all__ += sbn.__all__

@@ -170,14 +170,14 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "function": ("maj(3)", _string),
         "p": ("0.5", _probs_text),
         "estimators": (["reinforce", "fourier_cv"], _list_of(_string)),
-        "rho": (0.5, _float_in()),
-        "alpha": (1.0, _float_in()),
-        "beta": (1.0, _float_in()),
-        "k": (1, _int_in(hi=1000)),
-        "decay": (0.99, _float_in()),
+        "rho": (EstimatorConfig.rho, _float_in()),
+        "alpha": (EstimatorConfig.alpha, _float_in()),
+        "beta": (EstimatorConfig.beta, _float_in()),
+        "k": (EstimatorConfig.t_rho_samples, _int_in(hi=1000)),
+        "decay": (EstimatorConfig.baseline_decay, _float_in()),
         "baseline": (0.0, _float_in()),
-        "exact_inner": (False, _bool),
-        "taylor_at_sample": (False, _bool),
+        "exact_inner": (EstimatorConfig.exact_inner, _bool),
+        "taylor_at_sample": (EstimatorConfig.taylor_at_sample, _bool),
         "trials": (100000, _int_in()),
         "seed": (17, _SEED),
         "out": (".", _string),
@@ -198,20 +198,20 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "dataset_seed": (7, _SEED),
         "steps": (20000, _int_in()),
         "seed": (17, _SEED),
-        "learning_rate": (0.05, _float_in()),
-        "momentum": (0.9, _float_in()),
-        "minibatch": (24, _int_in()),
-        "baseline_lr_scale": (0.1, _float_in()),
-        "variance_decay": (0.99, _float_in()),
+        "learning_rate": (TrainConfig.learning_rate, _float_in()),
+        "momentum": (TrainConfig.momentum, _float_in()),
+        "minibatch": (TrainConfig.minibatch, _int_in()),
+        "baseline_lr_scale": (TrainConfig.baseline_lr_scale, _float_in()),
+        "variance_decay": (EstimatorConfig.baseline_decay, _float_in()),
         "estimator": ("muprop", _string),
-        "rho": (0.5, _float_in()),
-        "alpha": (1.0, _float_in()),
-        "beta": (1.0, _float_in()),
-        "k": (1, _int_in(hi=1000)),
+        "rho": (EstimatorConfig.rho, _float_in()),
+        "alpha": (EstimatorConfig.alpha, _float_in()),
+        "beta": (EstimatorConfig.beta, _float_in()),
+        "k": (EstimatorConfig.t_rho_samples, _int_in(hi=1000)),
         "baseline_hidden": (32, _int_in(1, 256)),
         "g_hidden": (32, _int_in(1, 256)),
         "g_act": ("tanh", _string),
-        "freeze_g": (False, _bool),
+        "freeze_g": (TrainConfig.freeze_g, _bool),
         "write_checkpoint": (True, _bool),
         "write_dataset": (True, _bool),
         "out": (".", _string),

@@ -82,10 +82,8 @@ def _act(name: str):
 class Affine:
     """y = x @ W.T + b with W shape (n_out, n_in)."""
 
-    def __init__(self, rng: np.random.Generator, n_in: int, n_out: int,
-                 scale: float | None = None):
-        s = (1.0 / np.sqrt(n_in)) if scale is None else scale
-        self.W = rng.normal(0.0, s, size=(n_out, n_in))
+    def __init__(self, rng: np.random.Generator, n_in: int, n_out: int):
+        self.W = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
         self.b = np.zeros(n_out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:

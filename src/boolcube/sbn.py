@@ -38,7 +38,8 @@ import numpy as np
 
 from .cube import (MAX_N, PROB_FLOOR, ProductDistribution, enumerate_points,
                    weights)
-from .estimators import EstimatorConfig, _contributions, ema_mean_and_variance
+from .estimators import (EstimatorConfig, _contributions, _score,
+                         ema_mean_and_variance)
 from .fourier import BooleanFunction
 from .nets import (
     MLP,
@@ -593,7 +594,7 @@ def enumerate_elbo(model: SbnModel, qnet: InferenceNet,
     configs, p, raw = draw.xs[0], draw.probs[0][0], draw.raw[0][0]
     q = np.exp(draw.logq)
     elbo = float(q @ draw.R)
-    sc = np.where(configs > 0, 1.0 / p, -1.0 / (1.0 - p))
+    sc = _score(configs, p)
     dp_dt = raw * (1.0 - raw) * ((raw > PROB_FLOOR) & (raw < 1.0 - PROB_FLOOR))
     grad_t = ((q * draw.R) @ sc) * dp_dt
     return elbo, grad_t
@@ -742,11 +743,15 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
 
 def restore_checkpoint(model: SbnModel, qnet: InferenceNet,
                        baselines: SbnBaselines, loaded: dict[str, np.ndarray]):
-    """Copy loaded tensors into live parameters, shape-checked."""
+    """Copy loaded tensors into live parameters, checked by name and shape."""
     live = named_parameters(model, qnet, baselines)
     missing = sorted(set(live) - set(loaded))
     if missing:
         raise ValueError("checkpoint missing tensors: %s" % ", ".join(missing))
+    unexpected = sorted(set(loaded) - set(live))
+    if unexpected:
+        raise ValueError("checkpoint has unexpected tensors: %s"
+                         % ", ".join(unexpected))
     for name, arr in live.items():
         src = loaded[name]
         if src.shape != arr.shape:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 

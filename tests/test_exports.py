@@ -1,5 +1,5 @@
-"""Export lists: every listed name exists, removed names stay gone, and
-every imported name is used."""
+"""Export lists: every listed name exists, the package re-exports each
+module's list, removed names stay gone, and every imported name is used."""
 
 import ast
 import importlib
@@ -7,6 +7,12 @@ import pkgutil
 from pathlib import Path
 
 import boolcube
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The modules the package re-exports, in the order of its __all__.
+REEXPORTED = ("cube", "estimators", "fourier", "funcspec", "operators",
+              "rng", "sbn")
 
 # The per-sample functions `contribution` replaced.
 REMOVED = ("reinforce", "reinforce_const_baseline", "straight_through",
@@ -21,6 +27,10 @@ def modules():
 
 def test_every_exported_name_resolves():
     assert len(set(boolcube.__all__)) == len(boolcube.__all__)
+    expected = ["__version__"]
+    for name in REEXPORTED:
+        expected += getattr(boolcube, name).__all__
+    assert boolcube.__all__ == expected
     for mod in modules():
         for name in mod.__all__:
             assert hasattr(mod, name), (mod.__name__, name)
@@ -40,18 +50,35 @@ def test_callable_backing_is_gone():
         assert not hasattr(boolcube.BooleanFunction, name), name
 
 
-def test_every_imported_name_is_used():
-    # a name a module imports is read in that module, or re-exported
-    # through its __all__
+def source_files():
+    # (path, package a relative import starts from, names it exports)
     for mod in modules():
-        tree = ast.parse(Path(mod.__file__).read_text())
+        yield Path(mod.__file__), mod.__package__, mod.__all__
+    for folder in ("tests", "demos"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            yield path, None, ()
+
+
+def test_every_imported_name_is_used():
+    # a name a file imports is read in that file, or re-exported through
+    # its __all__; a star import re-exports all of its source's __all__
+    for path, package, exported in source_files():
+        tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        used.update(getattr(mod, "__all__", ()))
+        used.update(exported)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    assert name in used, (mod.__name__, name, node.lineno)
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            where = (path.name, node.lineno)
+            for alias in node.names:
+                if alias.name == "*":
+                    source = importlib.import_module(
+                        "." * node.level + (node.module or ""), package)
+                    assert hasattr(source, "__all__"), where
+                    assert set(source.__all__) <= set(exported), where
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                assert name in used, where + (name,)

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolcube import (
-    BooleanFunction,
     FunctionSpec,
     FunctionSpecError,
     ProductDistribution,
     enumerate_points,
     parse_function,
-    stream,
     transform,
 )
 

@@ -23,7 +23,6 @@ from boolcube import (
     rho_bound,
     stream,
     transform,
-    weights,
 )
 
 

@@ -579,6 +579,11 @@ def test_checkpoint_validation(tmp_path):
     loaded["model.prior"] = np.zeros(9)
     with pytest.raises(ValueError, match="shape"):
         restore_checkpoint(model, qnet, baselines, loaded)
+    # a deeper net's checkpoint does not fit a one-layer net
+    deeper = build_toy((4, 4), 6, seed=17, baseline_hidden=8, g_hidden=8)
+    save_checkpoint(path, named_parameters(*deeper))
+    with pytest.raises(ValueError, match="unexpected tensors: .*link1"):
+        restore_checkpoint(model, qnet, baselines, load_checkpoint(path))
     with open(path, "w") as fh:
         fh.write("name_only\n")
     with pytest.raises(ValueError, match="TAB"):
