@@ -149,11 +149,18 @@ def _list_of(item):
 
 
 _SEED = _int_in(0)
+# The estimator settings bench and train share, with EstimatorConfig's
+# defaults; _estimator builds the config from them.
+_ESTIMATOR = {
+    "rho": (EstimatorConfig.rho, _float_in()),
+    "alpha": (EstimatorConfig.alpha, _float_in()),
+    "beta": (EstimatorConfig.beta, _float_in()),
+    "k": (EstimatorConfig.t_rho_samples, _int_in(hi=1000)),
+}
 _SPECS: dict[str, dict[str, tuple]] = {
     "transform": {
         "function": ("maj(3)", _string),
         "p": ("0.5", _probs_text),
-        "seed": (0, _SEED),
         "out": (".", _string),
     },
     "gradcheck": {
@@ -170,10 +177,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "function": ("maj(3)", _string),
         "p": ("0.5", _probs_text),
         "estimators": (["reinforce", "fourier_cv"], _list_of(_string)),
-        "rho": (EstimatorConfig.rho, _float_in()),
-        "alpha": (EstimatorConfig.alpha, _float_in()),
-        "beta": (EstimatorConfig.beta, _float_in()),
-        "k": (EstimatorConfig.t_rho_samples, _int_in(hi=1000)),
+        **_ESTIMATOR,
         "decay": (EstimatorConfig.baseline_decay, _float_in()),
         "baseline": (0.0, _float_in()),
         "exact_inner": (EstimatorConfig.exact_inner, _bool),
@@ -192,7 +196,6 @@ _SPECS: dict[str, dict[str, tuple]] = {
     },
     "train": {
         "widths": ([12], _list_of(_int_in())),
-        "obs_width": (36, _int_in()),
         "dataset": (None, _opt_string),
         "dataset_count": (144, _int_in(1, 100000)),
         "dataset_seed": (7, _SEED),
@@ -204,10 +207,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "baseline_lr_scale": (TrainConfig.baseline_lr_scale, _float_in()),
         "variance_decay": (EstimatorConfig.baseline_decay, _float_in()),
         "estimator": ("muprop", _string),
-        "rho": (EstimatorConfig.rho, _float_in()),
-        "alpha": (EstimatorConfig.alpha, _float_in()),
-        "beta": (EstimatorConfig.beta, _float_in()),
-        "k": (EstimatorConfig.t_rho_samples, _int_in(hi=1000)),
+        **_ESTIMATOR,
         "baseline_hidden": (32, _int_in(1, 256)),
         "g_hidden": (32, _int_in(1, 256)),
         "g_act": ("tanh", _string),
@@ -222,18 +222,20 @@ _SPECS: dict[str, dict[str, tuple]] = {
     },
 }
 
-# Which generic flags apply to which subcommand, and the key they set.
-_FLAG_MAP: dict[str, dict[str, str]] = {
-    "transform": {"seed": "seed", "function": "function", "p": "p"},
-    "gradcheck": {"seed": "seed", "function": "function", "p": "p",
-                  "trials": "count"},
-    "bench": {"seed": "seed", "function": "function", "p": "p",
-              "trials": "trials", "rho": "rho", "estimator": "estimator"},
-    "hyper": {"seed": "seed", "p": "p", "trials": "count"},
-    "train": {"seed": "seed", "trials": "steps", "rho": "rho",
-              "estimator": "estimator"},
-    "selftest": {"seed": "seed"},
-}
+# The generic flags: name, argparse type, help.  A flag applies to a
+# command exactly when it sets one of the command's keys: the key of the
+# same name, except that --trials sets the command's count key and
+# bench's --estimator sets its list of kinds.
+_FLAGS = (
+    ("seed", int, None),
+    ("trials", int, "trial/instance/step count where applicable"),
+    ("rho", float, None),
+    ("estimator", str, None),
+    ("function", str, None),
+    ("p", str, "probability or comma list"),
+)
+_COUNT_KEY = {"gradcheck": "count", "bench": "trials", "hyper": "count",
+              "train": "steps"}
 
 
 def _resolve_config(cmd: str, args: argparse.Namespace) -> dict:
@@ -253,18 +255,18 @@ def _resolve_config(cmd: str, args: argparse.Namespace) -> dict:
             if key not in spec:
                 raise ConfigError("unknown config key %r for %s" % (key, cmd))
             cfg[key] = spec[key][1](key, value)
-    flags = _FLAG_MAP[cmd]
-    for flag in ("seed", "trials", "rho", "estimator", "function", "p"):
-        value = getattr(args, flag, None)
+    for flag, _, _ in _FLAGS:
+        value = getattr(args, flag)
         if value is None:
             continue
-        if flag not in flags:
+        key = flag
+        if flag == "trials":
+            key = _COUNT_KEY.get(cmd)
+        elif flag == "estimator" and cmd == "bench":
+            key, value = "estimators", [value]
+        if key not in spec:
             raise ConfigError("--%s does not apply to %s" % (flag, cmd))
-        key = flags[flag]
-        if flag == "estimator" and cmd == "bench":
-            cfg["estimators"] = [value]
-        else:
-            cfg[key] = spec[key][1](key, value)
+        cfg[key] = spec[key][1](key, value)
     if args.out is not None:
         cfg["out"] = args.out
     return cfg
@@ -306,6 +308,14 @@ def _parse_spec(text: str) -> FunctionSpec:
         raise ConfigError("function: %s" % e)
 
 
+def _estimator(cfg: dict, kind: str, decay: float,
+               **flags) -> EstimatorConfig:
+    """The EstimatorConfig of `kind` from cfg's shared estimator keys."""
+    return EstimatorConfig(kind=kind, rho=cfg["rho"], alpha=cfg["alpha"],
+                           beta=cfg["beta"], t_rho_samples=cfg["k"],
+                           baseline_decay=decay, **flags)
+
+
 def _write(out_dir: str, name: str, content: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
@@ -333,9 +343,9 @@ def _run_gradcheck(cfg: dict) -> int:
     if cfg["function"] is not None:
         specs = [_parse_spec(cfg["function"])]
     else:
-        specs = [parse_function("randpoly(%d,%d,%s,%d)"
-                                % (cfg["n"], cfg["degree"],
-                                   repr(cfg["density"]), cfg["seed"] + k))
+        specs = [_parse_spec("randpoly(%d,%d,%s,%d)"
+                             % (cfg["n"], cfg["degree"],
+                                repr(cfg["density"]), cfg["seed"] + k))
                  for k in range(cfg["count"])]
     lines = ["# " + _resolved_line("gradcheck", cfg),
              "instance,function,coord,exact,numeric,abs_diff"]
@@ -373,11 +383,9 @@ def _run_bench(cfg: dict) -> int:
     spec = _parse_spec(cfg["function"])
     dist = ProductDistribution(_probs_for(cfg["p"], spec.n))
     try:
-        ests = [EstimatorConfig(kind=kind, rho=cfg["rho"], alpha=cfg["alpha"],
-                                beta=cfg["beta"], t_rho_samples=cfg["k"],
-                                baseline_decay=cfg["decay"],
-                                exact_inner=cfg["exact_inner"],
-                                taylor_at_sample=cfg["taylor_at_sample"])
+        ests = [_estimator(cfg, kind, cfg["decay"],
+                           exact_inner=cfg["exact_inner"],
+                           taylor_at_sample=cfg["taylor_at_sample"])
                 for kind in cfg["estimators"]]
         check_trials(cfg["trials"])
     except ValueError as e:
@@ -427,10 +435,7 @@ def _run_hyper(cfg: dict) -> int:
 
 def _run_train(cfg: dict) -> int:
     try:
-        est = EstimatorConfig(kind=cfg["estimator"], rho=cfg["rho"],
-                              alpha=cfg["alpha"], beta=cfg["beta"],
-                              t_rho_samples=cfg["k"],
-                              baseline_decay=cfg["variance_decay"])
+        est = _estimator(cfg, cfg["estimator"], cfg["variance_decay"])
         tc = TrainConfig(estimator=est, steps=cfg["steps"], seed=cfg["seed"],
                          learning_rate=cfg["learning_rate"],
                          momentum=cfg["momentum"], minibatch=cfg["minibatch"],
@@ -441,18 +446,13 @@ def _run_train(cfg: dict) -> int:
                 data = load_dataset(cfg["dataset"])
             except (OSError, ValueError) as e:
                 raise ConfigError("dataset: %s" % e)
-            obs_width = data.shape[1]
         else:
-            obs_width = cfg["obs_width"]
             data = bars_dataset(cfg["dataset_count"], cfg["dataset_seed"])
-            if data.shape[1] != obs_width:
-                raise ConfigError("obs_width %d does not match the generated "
-                                  "6x6 patterns" % obs_width)
         if cfg["minibatch"] > data.shape[0]:
             raise ConfigError("minibatch %d exceeds the dataset's %d rows"
                               % (cfg["minibatch"], data.shape[0]))
         model, qnet, baselines = build_toy(
-            tuple(cfg["widths"]), obs_width, cfg["seed"],
+            tuple(cfg["widths"]), data.shape[1], cfg["seed"],
             baseline_hidden=cfg["baseline_hidden"], g_hidden=cfg["g_hidden"],
             g_act=cfg["g_act"])
     except ValueError as e:
@@ -460,7 +460,7 @@ def _run_train(cfg: dict) -> int:
     # The generator's keys do not apply to a run on a dataset file.
     header = _resolved_line("train", cfg if cfg["dataset"] is None else {
         k: v for k, v in cfg.items() if k not in (
-            "obs_width", "dataset_count", "dataset_seed", "write_dataset")})
+            "dataset_count", "dataset_seed", "write_dataset")})
     try:
         result = train(model, qnet, baselines, data, tc)
     except TrainingDiverged as e:
@@ -688,12 +688,12 @@ def _run_selftest(cfg: dict) -> int:
 
 
 _RUNNERS = {
-    "transform": _run_transform,
-    "gradcheck": _run_gradcheck,
-    "bench": _run_bench,
-    "hyper": _run_hyper,
-    "train": _run_train,
-    "selftest": _run_selftest,
+    "transform": (_run_transform, "emit a function's expansion in text form"),
+    "gradcheck": (_run_gradcheck, "exact vs finite-difference gradient table"),
+    "bench": (_run_bench, "variance reports for an estimator matrix"),
+    "hyper": (_run_hyper, "norm-contraction reports at the critical rho"),
+    "train": (_run_train, "train the toy belief net, emit metrics CSV"),
+    "selftest": (_run_selftest, "run the quick oracle suite"),
 }
 
 
@@ -703,27 +703,16 @@ def main(argv=None) -> int:
         description="Biased Fourier analysis and gradient-estimator "
                     "benchmarks on the Boolean cube.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, helptext in (
-            ("transform", "emit a function's expansion in text form"),
-            ("gradcheck", "exact vs finite-difference gradient table"),
-            ("bench", "variance reports for an estimator matrix"),
-            ("hyper", "norm-contraction reports at the critical rho"),
-            ("train", "train the toy belief net, emit metrics CSV"),
-            ("selftest", "run the quick oracle suite")):
+    for name, (_, helptext) in _RUNNERS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--trials", type=int,
-                       help="trial/instance/step count where applicable")
-        p.add_argument("--rho", type=float)
-        p.add_argument("--estimator")
-        p.add_argument("--function")
-        p.add_argument("--p", help="probability or comma list")
+        for flag, kind, flaghelp in _FLAGS:
+            p.add_argument("--" + flag, type=kind, help=flaghelp)
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args.cmd, args)
-        return _RUNNERS[args.cmd](cfg)
+        return _RUNNERS[args.cmd][0](cfg)
     except ConfigError as e:
         print("config error: %s" % e)
         return 2

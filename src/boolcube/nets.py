@@ -178,10 +178,11 @@ class Momentum:
             start += p.size
         self._vel = np.zeros(start)
 
-    def ascend(self, grads: list[np.ndarray], lr: float):
+    def ascend(self, grads: list[np.ndarray], lr: float | np.ndarray):
         """Move every parameter along its gradient: grads holds them in
         parameter order, one array per parameter or already concatenated
-        into flat pieces."""
+        into flat pieces.  lr is one rate, or one rate per element of
+        that flat order."""
         g = np.concatenate([a.ravel() for a in grads])
         if g.size != self._vel.size:
             raise ValueError("gradient size mismatch")

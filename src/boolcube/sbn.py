@@ -101,47 +101,33 @@ class SbnModel:
     x_{j+1} to the logits of x_j.
     """
 
-    def __init__(self, widths: tuple[int, ...], obs_width: int,
+    def __init__(self, widths: tuple[int, ...], obs_dim: int,
                  rng: np.random.Generator):
         widths = tuple(int(w) for w in widths)
         if not 1 <= len(widths) <= 3:
             raise ValueError("layer count must be 1, 2, or 3")
-        if any(w < 1 or w > 32 for w in widths) or not 1 <= obs_width <= 4096:
+        if any(w < 1 or w > 32 for w in widths) or not 1 <= obs_dim <= 4096:
             raise ValueError("widths out of the supported toy range")
         self.widths = widths
-        self.obs_width = int(obs_width)
         self.prior = np.zeros(widths[-1])
-        self.links = [Affine(rng, widths[0], obs_width)]
+        self.links = [Affine(rng, widths[0], obs_dim)]
         for j in range(1, len(widths)):
             self.links.append(Affine(rng, widths[j], widths[j - 1]))
-
-    def params(self) -> list[np.ndarray]:
-        out = [self.prior]
-        for link in self.links:
-            out.extend(link.params())
-        return out
 
 
 class InferenceNet:
     """Recognition side: links[0] maps y to x_1 logits, links[l] maps
     x_l to x_{l+1} logits."""
 
-    def __init__(self, widths: tuple[int, ...], obs_width: int,
+    def __init__(self, widths: tuple[int, ...], obs_dim: int,
                  rng: np.random.Generator):
         self.widths = tuple(int(w) for w in widths)
-        self.obs_width = int(obs_width)
-        self.links = [Affine(rng, obs_width, widths[0])]
+        self.links = [Affine(rng, obs_dim, widths[0])]
         for l in range(1, len(widths)):
             self.links.append(Affine(rng, widths[l - 1], widths[l]))
 
     def logits(self, li: int, inp: np.ndarray) -> np.ndarray:
         return self.links[li].forward(inp)
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for link in self.links:
-            out.extend(link.params())
-        return out
 
 
 @dataclass
@@ -184,13 +170,13 @@ class TrainConfig:
                    self.freeze_g))
 
 
-def build_toy(widths: tuple[int, ...], obs_width: int, seed: int,
+def build_toy(widths: tuple[int, ...], obs_dim: int, seed: int,
               baseline_hidden: int = 32, g_hidden: int = 32,
               g_act: str = "tanh"):
     """Model, inference net, and baseline nets from one seed's substreams."""
-    model = SbnModel(widths, obs_width, stream(seed, 0, 0))
-    qnet = InferenceNet(widths, obs_width, stream(seed, 0, 1))
-    b = MLP(stream(seed, 0, 2), (obs_width, baseline_hidden, 1), "tanh")
+    model = SbnModel(widths, obs_dim, stream(seed, 0, 0))
+    qnet = InferenceNet(widths, obs_dim, stream(seed, 0, 1))
+    b = MLP(stream(seed, 0, 2), (obs_dim, baseline_hidden, 1), "tanh")
     g = [MLP(stream(seed, 0, 3 + li), (w, g_hidden, g_hidden, 1), g_act)
          for li, w in enumerate(widths)]
     return model, qnet, SbnBaselines(b=b, g=g)
@@ -351,12 +337,18 @@ def _layer_contributions(est: EstimatorConfig, draw: _Draw, li: int,
         deriv=lambda: draw.local_at_sample(li)[1], baseline=b_val)
 
 
-def _sampled_smoothing(est: EstimatorConfig, draw: _Draw, li: int,
-                       rng_inner: np.random.Generator):
-    """The step's smoothed g for layer li: k resampled draws per row."""
-    return lambda rho: _smoothed_mc(draw.baselines.g[li].value, draw.xs[li],
-                                    draw.probs[li], rho, est.t_rho_samples,
-                                    rng_inner)
+def _q_logit_rows(est: EstimatorConfig, draw: _Draw, li: int,
+                  b_val: np.ndarray, rng_inner: np.random.Generator):
+    """A training step's per-row gradients in layer li's q logits: the
+    layer's contributions, with the smoothed g from k resampled draws
+    per row, times sigma'(t)."""
+    contrib = _layer_contributions(
+        est, draw, li, b_val,
+        lambda rho: _smoothed_mc(draw.baselines.g[li].value, draw.xs[li],
+                                 draw.probs[li], rho, est.t_rho_samples,
+                                 rng_inner))
+    s = draw.raw[li]
+    return contrib * s * (1.0 - s)
 
 
 def elbo_sample(model: SbnModel, qnet: InferenceNet, y: np.ndarray,
@@ -390,19 +382,19 @@ class Trainer:
                  baselines: SbnBaselines, cfg: TrainConfig):
         self.model, self.qnet, self.baselines, self.cfg = (
             model, qnet, baselines, cfg)
-        m = cfg.momentum
-        # One accumulator per learning rate: the inference net and the
-        # generative model ascend; the baseline nets descend their losses
-        # at the scaled rate, that is ascend at its negative (momentum is
-        # odd in the gradient, so this matches negated gradients bit for
-        # bit).
-        ascent = qnet.params() + model.params()
-        descent = baselines.b.params()
-        if not cfg.freeze_g:
-            descent += [p for g in baselines.g for p in g.params()]
-        self.mom_ascent = Momentum(ascent, m)
-        self.mom_descent = Momentum(descent, m)
-        self._n_ascent = sum(p.size for p in ascent)
+        # One accumulator over named_parameters, in its order, with a rate
+        # per element: the generative model and the inference net ascend;
+        # the baseline nets descend their losses at the scaled rate, that
+        # is ascend at its negative (momentum is odd in the gradient, so
+        # this matches negated gradients bit for bit).
+        named = {name: p for name, p in named_parameters(
+                     model, qnet, baselines).items()
+                 if not (cfg.freeze_g and name.startswith("baseline.g"))}
+        self.mom = Momentum(list(named.values()), cfg.momentum)
+        self._rates = np.concatenate([
+            np.full(p.size, -cfg.learning_rate * cfg.baseline_lr_scale
+                    if name.startswith("baseline.") else cfg.learning_rate)
+            for name, p in named.items()])
         self._ema: dict[int, list[np.ndarray]] = {}
 
     def _track(self, li: int, flat: np.ndarray) -> float:
@@ -434,25 +426,20 @@ class Trainer:
             raise TrainingDiverged(step_index, "ELBO")
         b_val, b_cache = baselines.b.forward(y)
 
-        # inference-net gradients via the configured estimator
-        grads: list[np.ndarray] = []
+        # Gradients in named_parameters order.  Prior and decoder, pathwise.
+        grads = [bern_ll_grad_t(xs[-1], model.prior).sum(axis=0) / B]
+        for j in range(L):
+            grads.extend(g / B for g in model.links[j].grads(
+                xs[j], draw.decoder_grad(j)))
+
+        # inference net, via the configured estimator
         logvars: list[float] = []
         for li in range(L):
-            contrib = _layer_contributions(
-                est, draw, li, b_val,
-                _sampled_smoothing(est, draw, li, rng_inner))
-            s = draw.raw[li]
-            grad_t = contrib * s * (1.0 - s)
+            grad_t = _q_logit_rows(est, draw, li, b_val, rng_inner)
             inp = y if li == 0 else xs[li - 1]
             gW, gb = (g / B for g in self.qnet.links[li].grads(inp, grad_t))
             grads.extend([gW, gb])
             logvars.append(self._track(li, np.concatenate([gW.ravel(), gb])))
-
-        # decoder and prior, pathwise
-        grads.append(bern_ll_grad_t(xs[-1], model.prior).sum(axis=0) / B)
-        for j in range(L):
-            grads.extend(g / B for g in model.links[j].grads(
-                xs[j], draw.decoder_grad(j)))
 
         # baseline regressions (targets use pre-update values)
         grads.extend(baselines.b.backward(b_cache, (b_val - R) / B))
@@ -467,9 +454,7 @@ class Trainer:
         if not np.isfinite(flat).all():
             raise TrainingDiverged(step_index, "gradient")
 
-        lr, n = cfg.learning_rate, self._n_ascent
-        self.mom_ascent.ascend([flat[:n]], lr)
-        self.mom_descent.ascend([flat[n:]], -lr * cfg.baseline_lr_scale)
+        self.mom.ascend([flat], self._rates)
         return float(R.mean()), logvars
 
 
@@ -633,15 +618,11 @@ def sample_q_logit_gradients(model: SbnModel, qnet: InferenceNet,
     observation, exactly as a training step would compute them."""
     if len(model.widths) != 1:
         raise ValueError("probe sampling supports single-layer models")
-    y_tiled = np.broadcast_to(np.asarray(y, dtype=np.float64),
-                              (samples, model.obs_width)).copy()
+    y_tiled = np.tile(np.asarray(y, dtype=np.float64), (samples, 1))
     draw = _Draw(model, qnet, baselines, y_tiled,
                  _sample_latents(model, qnet, y_tiled, stream(seed, 1, 0)))
-    contrib = _layer_contributions(
-        est, draw, 0, baselines.b.value(y_tiled),
-        _sampled_smoothing(est, draw, 0, stream(seed, 2, 0)))
-    s = draw.raw[0]
-    return contrib * s * (1.0 - s)
+    return _q_logit_rows(est, draw, 0, baselines.b.value(y_tiled),
+                         stream(seed, 2, 0))
 
 
 # ---------------------------------------------------------------------------

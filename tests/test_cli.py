@@ -1,5 +1,6 @@
 """Command-line front end: config resolution, artifacts, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import boolcube
-from boolcube.cli import main
+from boolcube.cli import _resolve_config, main
 
 
 def run(capsys, *argv):
@@ -263,21 +264,50 @@ def test_selftest_rerun_byte_identical(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    cfgp = tmp_path / "bad.json"
-    cfgp.write_text(json.dumps({"steps": 10}))
-    code, out = run(capsys, "bench", "--config", str(cfgp),
-                    "--out", str(tmp_path))
-    assert code == 2
-    assert "unknown config key" in out
+    # transform draws nothing and train takes its width from the data,
+    # so neither has a seed or obs_width setting
+    for cmd, key, value in (("bench", "steps", 10), ("transform", "seed", 0),
+                            ("train", "obs_width", 36)):
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text(json.dumps({key: value}))
+        code, out = run(capsys, cmd, "--config", str(cfgp),
+                        "--out", str(tmp_path))
+        assert code == 2, (cmd, key)
+        assert "unknown config key %r for %s" % (key, cmd) in out
+
+
+# The key each generic flag sets, per command; a flag missing here does
+# not apply to that command.
+_FLAG_KEYS = {
+    "transform": {"function": "function", "p": "p"},
+    "gradcheck": {"seed": "seed", "trials": "count", "function": "function",
+                  "p": "p"},
+    "bench": {"seed": "seed", "trials": "trials", "rho": "rho",
+              "estimator": "estimators", "function": "function", "p": "p"},
+    "hyper": {"seed": "seed", "trials": "count", "p": "p"},
+    "train": {"seed": "seed", "trials": "steps", "rho": "rho",
+              "estimator": "estimator"},
+    "selftest": {"seed": "seed"},
+}
+_FLAG_VALUES = {"seed": 5, "trials": 7, "rho": 0.25, "estimator": "muprop",
+                "function": "maj(5)", "p": "0.25"}
 
 
 def test_inapplicable_flag_exits_2(tmp_path, capsys):
-    code, out = run(capsys, "selftest", "--p", "0.5", "--out", str(tmp_path))
-    assert code == 2
-    assert "does not apply" in out
-    code, out = run(capsys, "train", "--function", "maj(3)",
-                    "--out", str(tmp_path))
-    assert code == 2
+    for cmd, keys in _FLAG_KEYS.items():
+        for flag, value in _FLAG_VALUES.items():
+            if flag not in keys:
+                code, out = run(capsys, cmd, "--" + flag, str(value),
+                                "--out", str(tmp_path))
+                assert code == 2, (cmd, flag)
+                assert out == "config error: --%s does not apply to %s\n" % (
+                    flag, cmd)
+                continue
+            args = argparse.Namespace(config=None, out=None,
+                                      **dict.fromkeys(_FLAG_VALUES))
+            setattr(args, flag, value)
+            want = [value] if keys[flag] == "estimators" else value
+            assert _resolve_config(cmd, args)[keys[flag]] == want, (cmd, flag)
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -350,6 +380,7 @@ def test_flag_beats_config_value(tmp_path, capsys):
 
 _BENCH = {"function": "maj(3)", "trials": 1000}
 _LIBRARY_OWNED = [
+    ("gradcheck", {"n": 3, "degree": 5}, "degree must lie in [1, dimension]"),
     ("bench", {"decay": 1.0}, "baseline_decay must lie in [0, 1)"),
     ("bench", {"taylor_at_sample": True,
                "estimators": ["combined", "reinforce"]},
@@ -376,11 +407,12 @@ _LIBRARY_OWNED = [
     for cmd, settings, _ in _LIBRARY_OWNED])
 def test_library_owned_setting_exits_2_before_any_file(
         cmd, settings, message, tmp_path, capsys):
-    if cmd == "bench":
-        cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps(dict(_BENCH, **settings)))
-    else:
+    if cmd == "train":
         cfgp = train_config(tmp_path, **settings)
+    else:
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(
+            dict(_BENCH, **settings) if cmd == "bench" else settings))
     out_dir = tmp_path / "out"
     code, out = run(capsys, cmd, "--config", str(cfgp), "--out", str(out_dir))
     assert code == 2
