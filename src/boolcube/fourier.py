@@ -38,7 +38,8 @@ __all__ = [
     "expansion_from_text",
 ]
 
-# Butterfly outputs below this magnitude are treated as exact zeros.
+# Butterfly outputs at or below this multiple of the table's largest
+# magnitude are treated as exact zeros.
 COEFF_DROP = 1e-14
 
 
@@ -208,6 +209,7 @@ def transform(f: BooleanFunction, dist: ProductDistribution) -> FourierExpansion
         raise ValueError("distribution dimension %d != function dimension %d"
                          % (dist.n, f.n))
     work = np.array(f.values(), dtype=np.float64)
+    drop = COEFF_DROP * np.abs(work).max()
     n = f.n
     for i in range(n):
         p = dist.probs[i]
@@ -215,7 +217,7 @@ def transform(f: BooleanFunction, dist: ProductDistribution) -> FourierExpansion
         pairs = work.reshape(-1, 2, 1 << i)
         lo, hi = pairs[:, 0], pairs[:, 1]
         pairs[:, 0], pairs[:, 1] = (1.0 - p) * lo + p * hi, half_sigma * (hi - lo)
-    work[np.abs(work) <= COEFF_DROP] = 0.0
+    work[np.abs(work) <= drop] = 0.0
     return FourierExpansion._of_vector(work)
 
 

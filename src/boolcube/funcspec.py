@@ -88,16 +88,12 @@ class _Cursor:
         tok = self.match(_INT, what)
         try:
             return int(tok)
-        except ValueError:
+        except ValueError:  # past Python's limit on integer digits
             self.fail("bad %s %r" % (what, tok), start)
 
     def number(self, what: str = "number") -> float:
         start = self.i
-        tok = self.match(_NUMBER, what)
-        try:
-            val = float(tok)
-        except ValueError:
-            self.fail("bad %s %r" % (what, tok), start)
+        val = float(self.match(_NUMBER, what))
         if not np.isfinite(val):
             self.fail("non-finite %s" % what, start)
         return val
@@ -130,42 +126,19 @@ def _index_list(cur: _Cursor, closing: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Parsed function description; `data` is the kind-specific payload."""
+    """Parsed function description: `data` is the kind-specific payload
+    and `n`, the dimension, is set by the parser from it."""
 
     kind: str
     data: tuple
-
-    @property
-    def n(self) -> int:
-        if self.kind in ("maj", "and"):
-            return self.data[0]
-        if self.kind == "dict":
-            return self.data[0] + 1
-        if self.kind == "parity":
-            return max(self.data) + 1
-        if self.kind == "poly":
-            top = max((max(ix) for ix, _ in self.data if ix), default=-1)
-            return max(top + 1, 1)
-        if self.kind == "table":
-            return self.data[1]
-        return self.data[0]  # randpoly
+    n: int
 
     def canonical(self) -> str:
-        if self.kind == "dict":
-            return "dict(%d)" % self.data[0]
-        if self.kind in ("maj", "and"):
-            return "%s(%d)" % (self.kind, self.data[0])
-        if self.kind == "parity":
-            return "parity(%s)" % ",".join(str(i) for i in sorted(self.data))
         if self.kind == "poly":
-            terms = sorted(self.data, key=lambda t: (len(t[0]), t[0]))
-            body = ";".join("%s*[%s]" % (repr(c), ",".join(str(i) for i in ix))
-                            for ix, c in terms)
+            body = ";".join("%r*[%s]" % (c, ",".join(map(str, ix)))
+                            for ix, c in self.data)
             return "poly{%s}" % body
-        if self.kind == "table":
-            return "table(%s)" % self.data[0]
-        n, degree, density, seed = self.data
-        return "randpoly(%d,%d,%s,%d)" % (n, degree, repr(density), seed)
+        return "%s(%s)" % (self.kind, ",".join(map(str, self.data)))
 
     def _poly_coefficients(self) -> np.ndarray:
         """The monomial coefficients, indexed by subset bitmask."""
@@ -211,47 +184,29 @@ class FunctionSpec:
         return BooleanFunction(n, table=table, name=self.canonical())
 
 
+def _argument(cur: _Cursor, what: str, *rules, number: bool = False):
+    """Read an integer, or a number when asked, and refuse it, at the
+    offset where the read began, with the message of the first
+    `(ok, message)` rule it breaks."""
+    at = cur.i
+    value = cur.number(what) if number else cur.integer(what)
+    for ok, message in rules:
+        if not ok(value):
+            cur.fail(message, at)
+    return value
+
+
+def _dimension(n: int) -> bool:
+    return 1 <= n <= MAX_N
+
+
 def parse_function(text: str) -> FunctionSpec:
     """Parse one function description; whitespace-insensitive."""
     cur = _Cursor(text)
     cur.skip_ws()
     at = cur.i
     kind = cur.name()
-    if kind == "dict":
-        cur.take("(")
-        i_at = cur.i
-        i = cur.integer("coordinate index")
-        if not 0 <= i < MAX_N:
-            cur.fail("coordinate index out of range", i_at)
-        cur.take(")")
-        spec = FunctionSpec("dict", (i,))
-    elif kind == "maj":
-        cur.take("(")
-        n_at = cur.i
-        n = cur.integer("arity")
-        if n < 1 or n > MAX_N:
-            cur.fail("arity out of range", n_at)
-        if n % 2 == 0:
-            cur.fail("majority requires odd arity", n_at)
-        cur.take(")")
-        spec = FunctionSpec("maj", (n,))
-    elif kind == "and":
-        cur.take("(")
-        n_at = cur.i
-        n = cur.integer("arity")
-        if not 1 <= n <= MAX_N:
-            cur.fail("arity out of range", n_at)
-        cur.take(")")
-        spec = FunctionSpec("and", (n,))
-    elif kind == "parity":
-        cur.take("(")
-        ix_at = cur.i
-        members = _index_list(cur, ")")
-        if not members:
-            cur.fail("parity needs at least one coordinate", ix_at)
-        cur.take(")")
-        spec = FunctionSpec("parity", tuple(sorted(members)))
-    elif kind == "poly":
+    if kind == "poly":
         cur.take("{")
         terms: list[tuple[tuple[int, ...], float]] = []
         seen: set[tuple[int, ...]] = set()
@@ -276,43 +231,51 @@ def parse_function(text: str) -> FunctionSpec:
             break
         cur.take("}")
         terms.sort(key=lambda t: (len(t[0]), t[0]))
-        spec = FunctionSpec("poly", tuple(terms))
-    elif kind == "table":
+        top = max((ix[-1] for ix, _ in terms if ix), default=-1)
+        spec = FunctionSpec(kind, tuple(terms), max(top + 1, 1))
+    elif kind in ("dict", "maj", "and", "parity", "table", "randpoly"):
         cur.take("(")
-        h_at = cur.i
-        digits = cur.match(_HEX, "hex digits").lower()
-        bits = 4 * len(digits)
-        if bits & (bits - 1) or bits < 4:
-            cur.fail("hex length must encode a power-of-two table of at "
-                     "least 4 entries", h_at)
-        n = bits.bit_length() - 1
-        if n > MAX_N:
-            cur.fail("table too large", h_at)
+        if kind == "dict":
+            i = _argument(cur, "coordinate index",
+                          (lambda i: 0 <= i < MAX_N,
+                           "coordinate index out of range"))
+            spec = FunctionSpec(kind, (i,), i + 1)
+        elif kind in ("maj", "and"):
+            n = _argument(cur, "arity", (_dimension, "arity out of range"),
+                          (lambda n: kind == "and" or n % 2,
+                           "majority requires odd arity"))
+            spec = FunctionSpec(kind, (n,), n)
+        elif kind == "parity":
+            ix_at = cur.i
+            members = _index_list(cur, ")")
+            if not members:
+                cur.fail("parity needs at least one coordinate", ix_at)
+            spec = FunctionSpec(kind, tuple(sorted(members)), max(members) + 1)
+        elif kind == "table":
+            h_at = cur.i
+            digits = cur.match(_HEX, "hex digits").lower()
+            bits = 4 * len(digits)
+            if bits & (bits - 1) or bits < 4:
+                cur.fail("hex length must encode a power-of-two table of at "
+                         "least 4 entries", h_at)
+            n = bits.bit_length() - 1
+            if n > MAX_N:
+                cur.fail("table too large", h_at)
+            spec = FunctionSpec(kind, (digits,), n)
+        else:  # randpoly
+            n = _argument(cur, "dimension",
+                          (_dimension, "dimension out of range"))
+            cur.take(",")
+            degree = _argument(cur, "degree", (lambda d: 1 <= d <= n,
+                               "degree must lie in [1, dimension]"))
+            cur.take(",")
+            density = _argument(cur, "density", (lambda r: 0.0 <= r <= 1.0,
+                                "density must lie in [0, 1]"), number=True)
+            cur.take(",")
+            seed = _argument(cur, "seed",
+                             (lambda s: s >= 0, "seed must be non-negative"))
+            spec = FunctionSpec(kind, (n, degree, density, seed), n)
         cur.take(")")
-        spec = FunctionSpec("table", (digits, n))
-    elif kind == "randpoly":
-        cur.take("(")
-        n_at = cur.i
-        n = cur.integer("dimension")
-        if not 1 <= n <= MAX_N:
-            cur.fail("dimension out of range", n_at)
-        cur.take(",")
-        d_at = cur.i
-        degree = cur.integer("degree")
-        if not 1 <= degree <= n:
-            cur.fail("degree must lie in [1, dimension]", d_at)
-        cur.take(",")
-        dens_at = cur.i
-        density = cur.number("density")
-        if not 0.0 <= density <= 1.0:
-            cur.fail("density must lie in [0, 1]", dens_at)
-        cur.take(",")
-        s_at = cur.i
-        seed = cur.integer("seed")
-        if seed < 0:
-            cur.fail("seed must be non-negative", s_at)
-        cur.take(")")
-        spec = FunctionSpec("randpoly", (n, degree, density, seed))
     else:
         cur.fail("unknown function %r" % kind, at)
     cur.end()

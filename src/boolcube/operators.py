@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import ProductDistribution, _resampled, weights
+from .cube import PROB_FLOOR, ProductDistribution, _resampled, weights
 from .fourier import (
     BooleanFunction,
     FourierExpansion,
@@ -102,14 +102,20 @@ def numeric_gradient(f: BooleanFunction, dist: ProductDistribution,
     """Central finite difference of E_p[f] in each coordinate probability.
 
     Independent of the transform: each evaluation re-enumerates the
-    weight vector at the perturbed probability.
+    weight vector at the perturbed probability.  The step p_i -+ h is
+    clipped into [PROB_FLOOR, 1 - PROB_FLOOR], where the distribution
+    takes it as given; E_p[f] is affine in p_i, so the difference over
+    the clipped interval is still the exact slope, up to rounding.
     """
     t = f.values()
     out = np.empty(dist.n)
     for i in range(dist.n):
-        up = float(t @ weights(dist.with_prob(i, dist.probs[i] + h)))
-        dn = float(t @ weights(dist.with_prob(i, dist.probs[i] - h)))
-        out[i] = (up - dn) / (2.0 * h)
+        p = dist.probs[i]
+        lo, hi = max(p - h, PROB_FLOOR), min(p + h, 1.0 - PROB_FLOOR)
+        up = float(t @ weights(dist.with_prob(i, hi)))
+        dn = float(t @ weights(dist.with_prob(i, lo)))
+        out[i] = (up - dn) / (2.0 * h if (lo, hi) == (p - h, p + h)
+                              else hi - lo)
     return out
 
 

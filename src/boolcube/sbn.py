@@ -716,6 +716,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
                 raise ValueError("line %d: expected name<TAB>shape<TAB>values"
                                  % ln)
             name, shape_s, vals = parts
+            if name in out:
+                raise ValueError("line %d: duplicate tensor %s" % (ln, name))
             shape = tuple(int(d) for d in shape_s.split("x")) if shape_s else ()
             arr = np.array([float(v) for v in vals.split()] if vals else [])
             out[name] = arr.reshape(shape)

@@ -88,6 +88,18 @@ def test_gradcheck_single_function_fixed_p(tmp_path, capsys):
         assert float(row.split(",")[3]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", ["0.99999", "0.999995", "0.9999895",
+                               "1e-5", "1e-6", "0.0000105"])
+def test_gradcheck_within_a_step_of_the_probability_floor(p, tmp_path, capsys):
+    # the finite difference clips its step into the distribution's range
+    # instead of raising or reading a clamped probability
+    code, out = run(capsys, "gradcheck", "--function", "maj(3)",
+                    "--p", p, "--out", str(tmp_path))
+    assert code == 0, out
+    rows = read(tmp_path / "gradcheck.csv").splitlines()[2:]
+    assert max(float(row.split(",")[-1]) for row in rows) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -65,7 +65,8 @@ def test_transform_matches_weighted_inner_products(problem):
     want = (weights(dist) * f.values()) @ basis(phi_matrix(pts, dist))
     assert e.vector.shape == (1 << n,)
     assert np.max(np.abs(e.vector - want)) < 1e-10
-    assert not np.any((e.vector != 0.0) & (np.abs(e.vector) <= COEFF_DROP))
+    drop = COEFF_DROP * np.abs(f.values()).max()
+    assert not np.any((e.vector != 0.0) & (np.abs(e.vector) <= drop))
 
 
 @given(st.integers(1, 7), st.data())

@@ -196,3 +196,78 @@ def test_random_poly_specs_round_trip(n, data):
 def test_build_names_are_canonical():
     f = parse_function("maj( 3 )").build()
     assert f.name == "maj(3)"
+
+
+# Every rule the grammar enforces, with the offset and message it reports.
+# An offset is the cursor position before the refused token, so it falls
+# ahead of any whitespace that precedes the token.
+_TOO_LARGE = "table(" + "f" * (1 << 15) + ")"  # a 2^17-entry table
+_LONG = "1" * 5000  # more digits than Python converts to an integer
+
+
+@pytest.mark.parametrize("text, offset, message", [
+    (3, 0, "input must be text"),
+    ("waj(3)", 0, "unknown function 'waj'"),
+    ("", 0, "expected function name"),
+    ("   ", 3, "expected function name"),
+    ("dict(16)", 5, "coordinate index out of range"),
+    ("dict(-1)", 5, "coordinate index out of range"),
+    ("dict( 99 )", 5, "coordinate index out of range"),
+    ("dict(%s)" % _LONG, 5, "bad coordinate index %r" % _LONG),
+    ("maj(0)", 4, "arity out of range"),
+    ("maj(17)", 4, "arity out of range"),
+    ("maj(4)", 4, "majority requires odd arity"),
+    ("maj( 4)", 4, "majority requires odd arity"),
+    ("and(0)", 4, "arity out of range"),
+    ("and(17)", 4, "arity out of range"),
+    ("parity()", 7, "parity needs at least one coordinate"),
+    ("parity(0,0)", 9, "duplicate coordinate index 0"),
+    ("parity(-1)", 7, "coordinate index must be non-negative"),
+    ("parity(16)", 7, "coordinate index 16 exceeds the supported range"),
+    ("poly{}", 5, "poly needs at least one term"),
+    ("poly{1*[0];2*[0]}", 14, "duplicate monomial"),
+    ("poly{1e999*[0]}", 5, "non-finite coefficient"),
+    ("poly{%s*[0]}" % _LONG, 5, "non-finite coefficient"),
+    ("poly{1*[0]", 10, "expected '}'"),
+    ("table(abc)", 6,
+     "hex length must encode a power-of-two table of at least 4 entries"),
+    (_TOO_LARGE, 6, "table too large"),
+    ("table()", 6, "expected hex digits"),
+    ("randpoly(0,1,0.5,1)", 9, "dimension out of range"),
+    ("randpoly(17,1,0.5,1)", 9, "dimension out of range"),
+    ("randpoly(4,5,0.5,1)", 11, "degree must lie in [1, dimension]"),
+    ("randpoly(4,0,0.5,1)", 11, "degree must lie in [1, dimension]"),
+    ("randpoly(4,2,1.5,1)", 13, "density must lie in [0, 1]"),
+    ("randpoly(4,2,-0.1,1)", 13, "density must lie in [0, 1]"),
+    ("randpoly(4,2,1e999,1)", 13, "non-finite density"),
+    ("randpoly(4,2,0.5,-1)", 17, "seed must be non-negative"),
+    ("randpoly(4, 2, 0.5)", 18, "expected ','"),
+    ("maj(3) trailing", 7, "unexpected trailing input"),
+    ("maj 3", 4, "expected '('"),
+    ("maj(3", 5, "expected ')'"),
+], ids=lambda v: v[:24] if isinstance(v, str) else None)
+def test_grammar_error_table(text, offset, message):
+    err = pytest.raises(FunctionSpecError, parse_function, text).value
+    assert (err.offset, err.message) == (offset, message)
+
+
+@pytest.mark.parametrize("text, canonical, n", [
+    ("dict(4)", "dict(4)", 5),
+    (" maj( 5 ) ", "maj(5)", 5),
+    ("and(4)", "and(4)", 4),
+    ("parity(3,1)", "parity(1,3)", 4),
+    ("poly{-0.5*[0,1,2];0.5*[0]}", "poly{0.5*[0];-0.5*[0,1,2]}", 3),
+    ("poly{2*[]}", "poly{2.0*[]}", 1),
+    ("poly{1e-3*[];-2*[6]}", "poly{0.001*[];-2.0*[6]}", 7),
+    ("table(1E)", "table(1e)", 3),
+    ("table(0123456789abcdef)", "table(0123456789abcdef)", 6),
+    ("randpoly(6, 3, 0.5, 17)", "randpoly(6,3,0.5,17)", 6),
+    ("randpoly(3,1,1e-7,0)", "randpoly(3,1,1e-07,0)", 3),
+    ("randpoly(3,1,1,0)", "randpoly(3,1,1.0,0)", 3),
+    ("randpoly(16,2,.25,3)", "randpoly(16,2,0.25,3)", 16),
+])
+def test_grammar_form_table(text, canonical, n):
+    spec = parse_function(text)
+    assert (spec.canonical(), spec.n) == (canonical, n)
+    assert spec.build().n == n
+    assert parse_function(canonical) == spec

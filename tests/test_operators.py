@@ -206,6 +206,18 @@ def test_numeric_gradient_examples():
     assert abs(numeric_gradient(f, ProductDistribution([0.3]))[0] - 2.0) < 1e-9
 
 
+def test_small_scale_function_keeps_its_spectrum():
+    # the transform's drop threshold follows the table's own scale, so a
+    # function of magnitude 1e-15 keeps its gradient and its smoothing
+    f = BooleanFunction(2, table=1e-15 * enumerate_points(2)[:, 0])
+    dist = ProductDistribution.uniform(2)
+    grad = exact_gradient(f, dist)
+    assert np.allclose(grad, [2e-15, 0.0], rtol=1e-9, atol=0.0)
+    assert np.allclose(grad, numeric_gradient(f, dist), rtol=1e-6, atol=1e-20)
+    smoothed = noise_exact(f, 0.5, dist).values()
+    assert np.allclose(smoothed, 0.5 * f.values(), rtol=1e-9, atol=0.0)
+
+
 def test_gradient_identity_random_sweep():
     # the operators-module contract: 1e-8 at h=1e-5 over 100 random tables
     rng = stream(13, 8)

@@ -590,6 +590,21 @@ def test_checkpoint_validation(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_refuses_a_repeated_tensor(tmp_path):
+    # a second line with a saved name must not silently replace the first
+    path = str(tmp_path / "ckpt.txt")
+    model, qnet, baselines = toy_probe()
+    named = named_parameters(model, qnet, baselines)
+    save_checkpoint(path, named)  # one line per tensor
+    shape = "x".join(str(d) for d in model.prior.shape)
+    with open(path, "a") as fh:
+        fh.write("model.prior\t%s\t%s\n"
+                 % (shape, " ".join(["9.0"] * model.prior.size)))
+    with pytest.raises(ValueError, match="line %d: duplicate tensor "
+                       "model.prior" % (len(named) + 1)):
+        load_checkpoint(path)
+
+
 def test_build_toy_deterministic_and_decoupled():
     a = build_toy((4,), 6, seed=17)
     b = build_toy((4,), 6, seed=17)
