@@ -31,12 +31,13 @@ from .estimators import (
     score,
     variance_by_enumeration,
 )
-from .fourier import BooleanFunction, expansion_to_text, transform
+from .fourier import BooleanFunction, expansion_to_text, inverse_transform, transform
 from .funcspec import FunctionSpec, FunctionSpecError, parse_function
 from .operators import (
     exact_gradient,
     hypercontractivity_check,
     noise_exact,
+    noise_expansion,
     numeric_gradient,
     rho_bound,
 )
@@ -495,17 +496,15 @@ def _random_dist(n: int, rng: np.random.Generator) -> ProductDistribution:
     return ProductDistribution(rng.uniform(0.1, 0.9, n))
 
 
-def _noise_kernel_value(f: BooleanFunction, x: np.ndarray, rho: float,
-                        dist: ProductDistribution) -> float:
-    """Direct kernel expectation of the smoothed value (independent of
-    the transform route): sum over x' of f(x') times the product of
-    per-coordinate keep/refresh probabilities."""
+def _noise_kernel(f: BooleanFunction, rho: float,
+                  dist: ProductDistribution) -> np.ndarray:
+    """T_rho f at every point x by the explicit kernel, independent of
+    both routes: the sum over x' of f(x') times the product of the
+    per-coordinate keep/refresh probabilities of x' given x."""
     pts = enumerate_points(f.n)
-    cond = np.ones(pts.shape[0])
-    for i in range(f.n):
-        marg = np.where(pts[:, i] > 0, dist.probs[i], 1.0 - dist.probs[i])
-        cond *= rho * (pts[:, i] == x[i]) + (1.0 - rho) * marg
-    return float(cond @ f.values())
+    marg = np.where(pts > 0, dist.probs, 1.0 - dist.probs)
+    keep = pts[:, None, :] == pts[None, :, :]
+    return np.prod(rho * keep + (1.0 - rho) * marg, axis=2) @ f.values()
 
 
 def _selftest_checks(seed: int):
@@ -560,7 +559,7 @@ def _selftest_checks(seed: int):
             worst = max(worst, float(np.abs(ev - target).max()))
     add("estimator_unbiasedness", worst < 1e-10, worst)
 
-    # smoothing: kernel route vs coefficient scaling, semigroup, mean
+    # smoothing: the kernel against both routes (larger error), semigroup, mean
     rng = stream(seed, 4)
     worst = 0.0
     worst_semi = 0.0
@@ -571,9 +570,10 @@ def _selftest_checks(seed: int):
         dist = _random_dist(n, rng)
         rho = float(rng.uniform(0.0, 1.0))
         smooth = noise_exact(f, rho, dist)
-        for m, x in enumerate(enumerate_points(n)):
-            worst = max(worst, abs(smooth.values()[m]
-                                   - _noise_kernel_value(f, x, rho, dist)))
+        routed = inverse_transform(noise_expansion(transform(f, dist), rho), dist)
+        kernel = _noise_kernel(f, rho, dist)
+        worst = max(worst, float(np.abs(smooth.values() - kernel).max()),
+                    float(np.abs(routed.values() - kernel).max()))
         sigma = float(rng.uniform(0.0, 1.0))
         twice = noise_exact(noise_exact(f, rho, dist), sigma, dist)
         once = noise_exact(f, rho * sigma, dist)

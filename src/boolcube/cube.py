@@ -218,6 +218,17 @@ def enumerate_points(n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int8)
 
 
+def _per_coordinate(table: np.ndarray, coords: Iterable[int], step) -> np.ndarray:
+    """A float64 copy of table in which, for each i of coords in turn,
+    every pair (lo, hi) of entries whose indices differ only in bit i is
+    replaced by step(i, lo, hi); lo and hi are arrays over all the pairs."""
+    work = np.array(table, dtype=np.float64)
+    for i in coords:
+        pairs = work.reshape(-1, 2, 1 << i)
+        pairs[:, 0], pairs[:, 1] = step(i, pairs[:, 0], pairs[:, 1])
+    return work
+
+
 def weights(dist: ProductDistribution) -> np.ndarray:
     """Probability of every point, indexed by truth-table convention."""
     w = np.ones(1)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .cube import (
     ProductDistribution,
+    _per_coordinate,
     enumerate_points,
     points_to_indices,
     sample,
@@ -196,16 +197,10 @@ def derivative_tables(f: BooleanFunction) -> np.ndarray:
 
     D_i f(x) = (f at x_i=+1 minus f at x_i=-1)/2 equals the partial
     derivative of the multilinear extension; it involves no distribution.
+    Row i is the pass on coordinate i alone writing (hi - lo)/2 to both.
     """
-    t = f.values()
-    out = np.empty((f.n, t.shape[0]))
-    for i in range(f.n):
-        shaped = t.reshape(-1, 2 << i)
-        d = (shaped[:, 1 << i:] - shaped[:, : 1 << i]) / 2.0
-        row = out[i].reshape(-1, 2 << i)
-        row[:, : 1 << i] = d
-        row[:, 1 << i:] = d
-    return out
+    return np.array([_per_coordinate(f.values(), [i], lambda _, lo, hi: (
+        (hi - lo) / 2.0,) * 2) for i in range(f.n)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .cube import (
     MAX_N,
     ProductDistribution,
     SubsetIndex,
+    _per_coordinate,
     phi_matrix,
-    point_to_index,
     points_to_indices,
+    sample,
     weights,
 )
 
@@ -87,8 +88,8 @@ class BooleanFunction:
         self._table = t
 
     def value(self, x: np.ndarray) -> float:
-        """Evaluate at one point."""
-        return float(self._table[point_to_index(x)])
+        """Evaluate at one point; its width is checked as in `batch`."""
+        return float(self.batch(np.asarray(x)[None, :])[0])
 
     def values(self) -> np.ndarray:
         """The full truth table (read-only)."""
@@ -163,13 +164,6 @@ class FourierExpansion:
     def degree(self) -> int:
         return int(_popcounts(self.n)[self.vector != 0.0].max(initial=0))
 
-    def scaled_by_degree(self, factor: Callable[[int], float]) -> "FourierExpansion":
-        """Multiply each coefficient by factor(|S|)."""
-        per_degree = np.array([factor(d) for d in range(self.n + 1)],
-                              dtype=np.float64)
-        return FourierExpansion._of_vector(
-            self.vector * per_degree[_popcounts(self.n)])
-
     def evaluate(self, x: np.ndarray, dist: ProductDistribution) -> float:
         """Evaluate the expansion at a point under `dist`'s phi basis."""
         return float(self.evaluate_batch(np.asarray(x)[None, :], dist)[0])
@@ -200,24 +194,17 @@ class FourierExpansion:
 def transform(f: BooleanFunction, dist: ProductDistribution) -> FourierExpansion:
     """All coefficients of f under `dist`, by a per-coordinate butterfly.
 
-    Coordinate i splits the table into pairs (value at x_i=-1, value at
-    x_i=+1); the mean part (1-p)*lo + p*hi replaces the lo slot and the
-    phi part sqrt(p(1-p))*(hi - lo) the hi slot.  After all n passes,
-    entry m holds the coefficient of the subset with bitmask m.
+    On coordinate i, each pair (lo, hi) becomes its mean part
+    (1-p)*lo + p*hi and its phi part sqrt(p(1-p))*(hi - lo).  After all
+    n passes, entry m holds the coefficient of the subset with bitmask m.
     """
     if dist.n != f.n:
         raise ValueError("distribution dimension %d != function dimension %d"
                          % (dist.n, f.n))
-    work = np.array(f.values(), dtype=np.float64)
-    drop = COEFF_DROP * np.abs(work).max()
-    n = f.n
-    for i in range(n):
-        p = dist.probs[i]
-        half_sigma = np.sqrt(p * (1.0 - p))
-        pairs = work.reshape(-1, 2, 1 << i)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        pairs[:, 0], pairs[:, 1] = (1.0 - p) * lo + p * hi, half_sigma * (hi - lo)
-    work[np.abs(work) <= drop] = 0.0
+    p = dist.probs
+    work = _per_coordinate(f.values(), range(f.n), lambda i, lo, hi: (
+        (1.0 - p[i]) * lo + p[i] * hi, dist.sigma[i] / 2.0 * (hi - lo)))
+    work[np.abs(work) <= COEFF_DROP * np.abs(f.values()).max()] = 0.0
     return FourierExpansion._of_vector(work)
 
 
@@ -226,18 +213,13 @@ def inverse_transform(e: FourierExpansion, dist: ProductDistribution) -> Boolean
     if dist.n != e.n:
         raise ValueError("distribution dimension %d != expansion dimension %d"
                          % (dist.n, e.n))
-    n = e.n
-    work = np.array(e.vector)
-    for i in range(n - 1, -1, -1):
-        p = dist.probs[i]
-        # phi_i at x_i = +1 and -1; the inverse butterfly rebuilds
-        # lo = a + phi(-1) b, hi = a + phi(+1) b from (a, b).
-        phi_hi = np.sqrt((1.0 - p) / p)
-        phi_lo = -np.sqrt(p / (1.0 - p))
-        pairs = work.reshape(-1, 2, 1 << i)
-        a, b = pairs[:, 0], pairs[:, 1]
-        pairs[:, 0], pairs[:, 1] = a + phi_lo * b, a + phi_hi * b
-    return BooleanFunction(n, table=work)
+    # coordinate i, last first, rebuilds lo = a + phi_i(-1) b and
+    # hi = a + phi_i(+1) b from the pair (a, b)
+    p = dist.probs
+    phi_lo, phi_hi = -np.sqrt(p / (1.0 - p)), np.sqrt((1.0 - p) / p)
+    return BooleanFunction(e.n, table=_per_coordinate(
+        e.vector, range(e.n - 1, -1, -1),
+        lambda i, a, b: (a + phi_lo[i] * b, a + phi_hi[i] * b)))
 
 
 def _lower_slots(v: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
@@ -275,14 +257,13 @@ def norm(f: BooleanFunction, dist: ProductDistribution, order: float) -> float:
 def coefficient_mc(f: BooleanFunction, S: SubsetIndex, dist: ProductDistribution,
                    rng: np.random.Generator, samples: int) -> float:
     """Monte Carlo estimate of one coefficient: the sample mean of f * phi_S."""
-    from .cube import sample as draw
-
-    xs = draw(dist, rng, size=samples)
-    ph = phi_matrix(xs, dist)
-    prod = np.ones(samples)
-    for i in S:
-        prod *= ph[:, i]
-    return float(np.mean(f.batch(xs) * prod))
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if not S.valid_for(f.n):
+        raise ValueError("subset %s out of range for n=%d" % (S, f.n))
+    xs = sample(dist, rng, size=samples)
+    phi_S = np.prod(phi_matrix(xs, dist)[:, list(S)], axis=1)
+    return float(np.mean(f.batch(xs) * phi_S))
 
 
 def expansion_to_text(e: FourierExpansion) -> str:

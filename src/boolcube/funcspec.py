@@ -89,7 +89,8 @@ class _Cursor:
         try:
             return int(tok)
         except ValueError:  # past Python's limit on integer digits
-            self.fail("bad %s %r" % (what, tok), start)
+            self.fail("bad %s '%s...' (%d digits)"
+                      % (what, tok[:20], len(tok.lstrip("+-"))), start)
 
     def number(self, what: str = "number") -> float:
         start = self.i

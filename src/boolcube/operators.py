@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import PROB_FLOOR, ProductDistribution, _resampled, weights
+from .cube import PROB_FLOOR, ProductDistribution, _per_coordinate, _resampled, weights
 from .fourier import (
     BooleanFunction,
     FourierExpansion,
     _lower_slots,
-    inverse_transform,
+    _popcounts,
     norm,
     transform,
 )
@@ -49,7 +49,8 @@ def discrete_derivative(e: FourierExpansion, i: int) -> FourierExpansion:
 
 def noise_expansion(e: FourierExpansion, rho: float) -> FourierExpansion:
     """Apply the noise operator in coefficient space: scale by rho^|S|."""
-    return e.scaled_by_degree(lambda d: rho ** d)
+    per_degree = np.array([rho ** d for d in range(e.n + 1)])
+    return FourierExpansion._of_vector(e.vector * per_degree[_popcounts(e.n)])
 
 
 def noise_exact(f: BooleanFunction, rho: float,
@@ -58,15 +59,24 @@ def noise_exact(f: BooleanFunction, rho: float,
 
     (T_rho f)(x) = E[f(x')] where each coordinate of x' independently
     keeps x_i with probability rho and is redrawn from `dist` otherwise.
-    Computed exactly by scaling the expansion and inverting.
+    Coordinate i's pass maps each pair (lo, hi) to rho (lo, hi) + (1 - rho)
+    ((1 - p_i) lo + p_i hi); for any real rho it equals `noise_expansion`.
     """
-    return inverse_transform(noise_expansion(transform(f, dist), rho), dist)
+    if dist.n != f.n:
+        raise ValueError("distribution dimension %d != function dimension %d"
+                         % (dist.n, f.n))
+    return BooleanFunction(f.n, table=_per_coordinate(
+        f.values(), range(f.n), lambda i, lo, hi: (
+            lo + (1.0 - rho) * dist.probs[i] * (hi - lo),
+            hi - (1.0 - rho) * (1.0 - dist.probs[i]) * (hi - lo))))
 
 
 def noise_mc(f: BooleanFunction, x: np.ndarray, rho: float,
              dist: ProductDistribution, rng: np.random.Generator,
              samples: int = 1) -> float:
     """Monte Carlo value of (T_rho f)(x): average f over resamplings of x."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     xs = np.broadcast_to(np.asarray(x, dtype=np.int8), (samples, dist.n))
     return float(np.mean(_smoothed_mc(f.batch, xs, dist.probs, rho, 1, rng)))
 

@@ -329,6 +329,16 @@ def test_malformed_json_exits_2(tmp_path, capsys):
                     "--out", str(tmp_path))
     assert code == 2
     assert "JSON" in out
+    missing = tmp_path / "missing.json"
+    cfgp.write_text("[1, 2]")
+    for path, message in (
+            (missing, "cannot read config: [Errno 2] No such file or "
+                      "directory: %r" % str(missing)),
+            (cfgp, "config must be a JSON object")):
+        code, out = run(capsys, "transform", "--config", str(path),
+                        "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "config error: %s\n" % message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_probability_dimension_mismatch_exits_2(tmp_path, capsys):
@@ -355,6 +365,21 @@ def test_probability_dimension_mismatch_exits_before_building(
     assert code == 2
     assert out == "config error: p: 2 probabilities for dimension %d\n" % n
     assert calls == []
+
+
+def test_bench_per_coordinate_p_as_list_or_text_writes_the_same_csv(
+        tmp_path, capsys):
+    for name, p in (("list", [0.2, 0.3, 0.4]), ("text", "0.2,0.3,0.4")):
+        cfgp = tmp_path / ("%s.json" % name)
+        cfgp.write_text(json.dumps({"function": "maj(3)", "p": p,
+                                    "trials": 2000,
+                                    "estimators": ["reinforce", "combined"]}))
+        code, _ = run(capsys, "bench", "--config", str(cfgp),
+                      "--out", str(tmp_path / name))
+        assert code == 0
+    for kind in ("reinforce", "combined"):
+        csv = "bench_%s.csv" % kind
+        assert read(tmp_path / "list" / csv) == read(tmp_path / "text" / csv)
 
 
 @pytest.mark.parametrize("cmd", ["transform", "bench", "hyper"])
@@ -414,11 +439,30 @@ _LIBRARY_OWNED = [
 ]
 
 
-@pytest.mark.parametrize("cmd,settings,message", _LIBRARY_OWNED, ids=[
-    "%s-%s" % (cmd, json.dumps(settings, separators=(",", ":")))
-    for cmd, settings, _ in _LIBRARY_OWNED])
-def test_library_owned_setting_exits_2_before_any_file(
-        cmd, settings, message, tmp_path, capsys):
+# The CLI's own checks: the type and range of each config value, with
+# the exact message.
+_CLI_OWNED = [
+    ("gradcheck", {"count": 0}, "count: must be >= 1"),
+    ("hyper", {"n": 11}, "n: must be <= 10"),
+    ("bench", {"k": 1001}, "k: must be <= 1000"),
+    ("bench", {"alpha": "x"}, "alpha: expected a number, got 'x'"),
+    ("bench", {"beta": float("nan")}, "beta: must be finite"),
+    ("gradcheck", {"density": 1.5}, "density: out of range"),
+    ("hyper", {"q": 2.0}, "q: out of range"),
+    ("bench", {"exact_inner": 1}, "exact_inner: expected true/false, got 1"),
+    ("bench", {"function": 3}, "function: expected a string, got 3"),
+    ("bench", {"p": 0.5}, "p: expected a string or list"),
+    ("bench", {"p": [0.5, "x"]}, "p: expected numbers"),
+    ("bench", {"p": "random"}, 'p: "random" applies to gradcheck only'),
+    ("bench", {"p": "0.5,x"}, "p: bad probability 'x'"),
+    ("bench", {"p": "1.5"}, "p: probabilities must lie in (0, 1)"),
+    ("bench", {"estimators": []}, "estimators: expected a non-empty list"),
+]
+
+
+def _config_error(cmd, settings, tmp_path, capsys):
+    """Run cmd on settings; check it exits 2 with one line and writes
+    nothing, and return that line."""
     if cmd == "train":
         cfgp = train_config(tmp_path, **settings)
     else:
@@ -429,8 +473,28 @@ def test_library_owned_setting_exits_2_before_any_file(
     code, out = run(capsys, cmd, "--config", str(cfgp), "--out", str(out_dir))
     assert code == 2
     assert out.startswith("config error: ") and out.count("\n") == 1
-    assert message in out
     assert not out_dir.exists()
+    return out
+
+
+def _ids(table):
+    return ["%s-%s" % (cmd, json.dumps(settings, separators=(",", ":")))
+            for cmd, settings, _ in table]
+
+
+@pytest.mark.parametrize("cmd,settings,message", _LIBRARY_OWNED,
+                         ids=_ids(_LIBRARY_OWNED))
+def test_library_owned_setting_exits_2_before_any_file(
+        cmd, settings, message, tmp_path, capsys):
+    assert message in _config_error(cmd, settings, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("cmd,settings,message", _CLI_OWNED,
+                         ids=_ids(_CLI_OWNED))
+def test_config_value_of_wrong_type_or_range_exits_2_before_any_file(
+        cmd, settings, message, tmp_path, capsys):
+    out = _config_error(cmd, settings, tmp_path, capsys)
+    assert out == "config error: %s\n" % message
 
 
 def test_bench_rho_zero_runs_where_no_kind_divides_by_it(tmp_path, capsys):

@@ -92,6 +92,9 @@ def test_point_validation():
         point([1, 0, -1])
     with pytest.raises(ValueError):
         point([2, 1])
+    with pytest.raises(ValueError) as err:
+        point([[1]])
+    assert str(err.value) == "a point is a non-empty 1-d sequence"
 
 
 def test_index_convention_little_endian_plus_one_sets_bit():
@@ -100,6 +103,9 @@ def test_index_convention_little_endian_plus_one_sets_bit():
     assert point_to_index(point([-1, 1, -1])) == 2
     assert point_to_index(point([1, 1, 1])) == 7
     assert np.array_equal(index_to_point(5, 3), [1, -1, 1])
+    with pytest.raises(ValueError) as err:
+        index_to_point(8, 3)
+    assert str(err.value) == "index out of range for dimension 3"
 
 
 @given(st.integers(1, 12), st.integers(0, 2 ** 12 - 1))
@@ -147,6 +153,9 @@ def test_subset_validation():
         SubsetIndex.of([0, 0])
     with pytest.raises(ValueError):
         SubsetIndex.of([-1])
+    with pytest.raises(ValueError) as err:
+        SubsetIndex(-1)
+    assert str(err.value) == "mask must be non-negative"
     assert SubsetIndex.of([5]).valid_for(6)
     assert not SubsetIndex.of([5]).valid_for(5)
 

@@ -127,9 +127,9 @@ def test_multilinear_gradient_matches_central_differences(problem):
         assert abs(grad[j] - num) <= 1e-11 * (1.0 + float(scale[0])) / h
 
 
-@given(problems(), st.floats(0.0, 1.0), st.data())
+@given(problems(), st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
-def test_coefficient_space_operators(problem, rho, data):
+def test_coefficient_space_operators(problem, rho):
     n, _, rng = problem
     e = random_expansion(n, rng)
     for i in range(n):
@@ -140,11 +140,6 @@ def test_coefficient_space_operators(problem, rho, data):
     want = {S: c * rho ** S.degree for S, c in e.coeffs.items()}
     assert dict(noise_expansion(e, rho).coeffs) == {S: c for S, c in want.items()
                                                     if c != 0.0}
-    factors = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n + 1,
-                                 max_size=n + 1))
-    want = {S: c * factors[S.degree] for S, c in e.coeffs.items()}
-    got = e.scaled_by_degree(lambda d: factors[d])
-    assert dict(got.coeffs) == {S: c for S, c in want.items() if c != 0.0}
 
 
 @given(st.integers(1, 7), st.data())

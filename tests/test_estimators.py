@@ -1,5 +1,6 @@
 """Gradient estimators: identities, unbiasedness, variance oracles, benchmark."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -716,6 +717,14 @@ def test_benchmark_csv_structure():
     assert text.endswith("\n")
 
 
+def test_variance_report_refuses_negative_variance():
+    rep = benchmark_variance(EstimatorConfig("reinforce"), MAJ3, U3,
+                             trials=10, seed=0)
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(rep, variance=-1.0 - rep.variance)
+    assert str(err.value) == "variance must be non-negative"
+
+
 def test_benchmark_rejects_tiny_runs():
     with pytest.raises(ValueError):
         benchmark_variance(EstimatorConfig("reinforce"), MAJ3, U3,
@@ -752,6 +761,9 @@ def test_config_label_golden():
     cfg = EstimatorConfig("combined", exact_inner=True)
     assert cfg.label().endswith(";exact_inner]")
     assert "," not in cfg.label()
+    cfg = EstimatorConfig("combined", taylor_at_sample=True)
+    assert cfg.label() == ("combined[rho=0.5;alpha=1.0;beta=1.0;k=1;"
+                           "decay=0.99;taylor_at_sample]")
 
 
 def test_enumeration_oracles_at_max_n_match_exact_gradient():

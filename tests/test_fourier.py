@@ -23,6 +23,10 @@ from boolcube import (
 )
 
 
+MAJ3 = parse_function("maj(3)").build()
+U3 = ProductDistribution.uniform(3)
+
+
 def random_dist(n, rng):
     return ProductDistribution(rng.uniform(0.1, 0.9, n))
 
@@ -212,6 +216,64 @@ def test_expansion_text_errors_carry_line_numbers():
         expansion_from_text("# n=2\n0,0\t1.0\n")
     with pytest.raises(ValueError, match="line 3"):
         expansion_from_text("# n=2\n0\t0.5\n1\tnot_a_number\n")
+
+
+def test_expansion_text_without_header_takes_n_from_its_indices():
+    assert expansion_from_text("0,3\t1.5\n").n == 4
+    assert expansion_from_text("-\t2.0\n").n == 1
+
+
+# Each refusal of a malformed table, subset, distribution or expansion
+# text, with its exact message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: BooleanFunction(2, table=np.zeros(3)),
+     "truth table must have 2^n entries"),
+    (lambda: BooleanFunction(2, table=[0.0, 1.0, np.inf, 0.0]),
+     "truth table must be finite"),
+    (lambda: FourierExpansion(3, {SubsetIndex.of([5]): 1.0}),
+     "subset {5} out of range for n=3"),
+    (lambda: transform(MAJ3, ProductDistribution.uniform(2)),
+     "distribution dimension 2 != function dimension 3"),
+    (lambda: inverse_transform(FourierExpansion(3), ProductDistribution.uniform(2)),
+     "distribution dimension 2 != expansion dimension 3"),
+    (lambda: expansion_from_text("# n=x\n"),
+     "line 1: bad dimension header '# n=x'"),
+    (lambda: expansion_from_text("-\t1.0\n0\t1.0\textra\n"),
+     "line 2: expected `indices<TAB>coefficient`"),
+    (lambda: expansion_from_text("0,a\t1.0\n"), "line 1: bad index list '0,a'"),
+    (lambda: expansion_from_text("1,0\t1.0\n"),
+     "line 1: indices must be strictly ascending"),
+    (lambda: expansion_from_text("0\tx\n"), "line 1: bad coefficient 'x'"),
+    (lambda: expansion_from_text("0\t1.0\n0\t2.0\n"),
+     "line 2: duplicate subset {0}"),
+])
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_value_refuses_a_point_of_the_wrong_width():
+    # value reads the same index batch does, so it checks the same width
+    for x in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ValueError) as err:
+            MAJ3.value(x)
+        assert str(err.value) == "points have %d coordinates, the function 3" % len(x)
+    assert MAJ3.value([1, 1, -1]) == 1.0 and MAJ3.value([1, -1, -1]) == -1.0
+
+
+def test_coefficient_mc_refuses_bad_counts_and_subsets():
+    # refused before anything is drawn, with FourierExpansion's message
+    # for a subset outside the function
+    for S, samples, message in (
+            (SubsetIndex.of([0]), 0, "samples must be at least 1"),
+            (SubsetIndex.of([0]), -3, "samples must be at least 1"),
+            (SubsetIndex.of([5]), 10, "subset {5} out of range for n=3")):
+        rng = stream(11, 9)
+        with pytest.raises(ValueError) as err:
+            coefficient_mc(MAJ3, S, U3, rng, samples)
+        assert str(err.value) == message
+        assert rng.random() == stream(11, 9).random()
 
 
 def test_multilinear_gradient_matches_finite_difference():

@@ -203,6 +203,7 @@ def test_build_names_are_canonical():
 # ahead of any whitespace that precedes the token.
 _TOO_LARGE = "table(" + "f" * (1 << 15) + ")"  # a 2^17-entry table
 _LONG = "1" * 5000  # more digits than Python converts to an integer
+_TOO_LONG = "bad %s '" + "1" * 20 + "...' (5000 digits)"
 
 
 @pytest.mark.parametrize("text, offset, message", [
@@ -213,7 +214,10 @@ _LONG = "1" * 5000  # more digits than Python converts to an integer
     ("dict(16)", 5, "coordinate index out of range"),
     ("dict(-1)", 5, "coordinate index out of range"),
     ("dict( 99 )", 5, "coordinate index out of range"),
-    ("dict(%s)" % _LONG, 5, "bad coordinate index %r" % _LONG),
+    ("dict(%s)" % _LONG, 5, _TOO_LONG % "coordinate index"),
+    ("maj(%s)" % _LONG, 4, _TOO_LONG % "arity"),
+    ("randpoly(%s,1,0.5,1)" % _LONG, 9, _TOO_LONG % "dimension"),
+    ("poly{1*[0,%s]}" % _LONG, 10, _TOO_LONG % "coordinate index"),
     ("maj(0)", 4, "arity out of range"),
     ("maj(17)", 4, "arity out of range"),
     ("maj(4)", 4, "majority requires odd arity"),

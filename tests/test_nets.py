@@ -181,5 +181,8 @@ def test_momentum_updates_in_place_and_validates():
         assert np.max(np.abs(p - b - 0.01)) < 1e-15
     with pytest.raises(ValueError):
         Momentum(net.params(), momentum=1.0)
+    with pytest.raises(ValueError) as err:
+        Momentum([np.zeros((3, 4))[:, ::2]], momentum=0.9)
+    assert str(err.value) == "parameters must be C-contiguous"
     with pytest.raises(ValueError):
         opt.ascend([np.ones(3)], lr=0.1)

@@ -132,6 +132,36 @@ def test_noise_exact_matches_kernel_oracle():
             assert np.abs(got - want).max() < 1e-10
 
 
+def test_noise_exact_matches_the_coefficient_route():
+    # the direct pass against the Fourier route, inverse_transform of
+    # noise_expansion of transform, under biased p; rho outside [0, 1]
+    # still scales phi_S by rho^|S| on both routes
+    rng = stream(13, 11)
+    for n in range(1, 9):
+        f = BooleanFunction(n, table=rng.normal(size=1 << n))
+        dist = random_dist(n, rng)
+        for rho in (-0.5, 0.0, 0.31, 1.0, 1.5):
+            got = noise_exact(f, rho, dist).values()
+            want = inverse_transform(
+                noise_expansion(transform(f, dist), rho), dist).values()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(f.values()).max()
+
+
+def test_noise_exact_at_rho_one_returns_the_table_bit_for_bit():
+    rng = stream(13, 12)
+    for n in (1, 4, 9):
+        f = BooleanFunction(n, table=rng.normal(size=1 << n))
+        got = noise_exact(f, 1.0, random_dist(n, rng)).values()
+        assert got.tobytes() == f.values().tobytes()
+
+
+def test_noise_exact_refuses_a_distribution_of_another_dimension():
+    f = parse_function("maj(3)").build()
+    with pytest.raises(ValueError) as err:
+        noise_exact(f, 0.5, ProductDistribution.uniform(2))
+    assert str(err.value) == "distribution dimension 2 != function dimension 3"
+
+
 def test_noise_mean_preserved_and_semigroup():
     rng = stream(13, 3)
     for _ in range(20):
@@ -166,6 +196,13 @@ def test_noise_mc_examples():
     x = np.array([1, 1, 1], dtype=np.int8)
 
     assert noise_mc(f, x, 1.0, d, stream(13, 5)) == f.value(x)
+    for samples in (0, -2):
+        # refused before anything is drawn
+        rng = stream(13, 8)
+        with pytest.raises(ValueError) as err:
+            noise_mc(f, x, 0.5, d, rng, samples=samples)
+        assert str(err.value) == "samples must be at least 1"
+        assert rng.random() == stream(13, 8).random()
 
     const = BooleanFunction(3, table=np.full(8, 2.5))
     assert noise_mc(const, x, 0.4, d, stream(13, 6), samples=7) == 2.5
