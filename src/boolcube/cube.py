@@ -43,6 +43,46 @@ PROB_FLOOR = 1e-6
 MAX_N = 16
 
 
+def _check_dimension(n: int) -> int:
+    """Refuse a dimension outside [1, MAX_N]: below 1 there is no cube,
+    above MAX_N the library does not allocate the 2^n arrays."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError("dimension %d lies outside the supported range "
+                         "[1, %d]" % (n, MAX_N))
+    return int(n)
+
+
+def _check_pairing(dist, n: int, paired: str = "function") -> None:
+    """Refuse a distribution paired with a table or expansion of another
+    dimension."""
+    if dist.n != n:
+        raise ValueError("distribution dimension %d != %s dimension %d"
+                         % (dist.n, paired, n))
+
+
+def _check_width(xs, n: int, paired: str) -> np.ndarray:
+    """xs as an array whose rows have the n coordinates of the paired
+    function or distribution; a shape check, the values are not read."""
+    xs = np.atleast_1d(np.asarray(xs))
+    if xs.shape[-1] != n:
+        raise ValueError("points have %d coordinates, the %s %d"
+                         % (xs.shape[-1], paired, n))
+    return xs
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer or is below least."""
+    if not _is_integer(value):
+        raise ValueError("%s must be an integer" % name)
+    if value < least:
+        raise ValueError("%s must be at least %d" % (name, least))
+
+
 class ProbabilityClampWarning(UserWarning):
     """A coordinate probability was clamped into [PROB_FLOOR, 1 - PROB_FLOOR]."""
 
@@ -176,7 +216,13 @@ class SubsetIndex:
 
 
 def point(coords: Iterable[float]) -> np.ndarray:
-    """Validate and normalize a cube point to an int8 array of -1/+1."""
+    """Validate and normalize a cube point to an int8 array of -1/+1.
+
+    Every function that takes one point from its caller reads it through
+    here, so a value other than exactly -1 or +1 is refused.  Batches of
+    rows (`BooleanFunction.batch`, the samplers) are checked for width
+    only and read by sign: a row's coordinate counts as +1 when it is
+    positive."""
     x = np.asarray(list(coords) if not isinstance(coords, np.ndarray) else coords)
     x = np.atleast_1d(x)
     if x.ndim != 1 or x.size == 0:
@@ -193,8 +239,7 @@ def point(coords: Iterable[float]) -> np.ndarray:
 
 def point_to_index(x: np.ndarray) -> int:
     """Truth-table index of a point (x_i = +1 -> bit i set, little-endian)."""
-    bits = (np.asarray(x) > 0).astype(np.uint64)
-    return int(bits @ (np.uint64(1) << np.arange(len(bits), dtype=np.uint64)))
+    return int(points_to_indices(point(x)))
 
 
 def points_to_indices(xs: np.ndarray) -> np.ndarray:
@@ -205,6 +250,7 @@ def points_to_indices(xs: np.ndarray) -> np.ndarray:
 
 def index_to_point(index: int, n: int) -> np.ndarray:
     """Inverse of point_to_index."""
+    _check_dimension(n)
     if not 0 <= index < (1 << n):
         raise ValueError("index out of range for dimension %d" % n)
     bits = (index >> np.arange(n)) & 1
@@ -213,7 +259,7 @@ def index_to_point(index: int, n: int) -> np.ndarray:
 
 def enumerate_points(n: int) -> np.ndarray:
     """All 2^n points as an int8 matrix; row m is the point with index m."""
-    idx = np.arange(1 << n)[:, None]
+    idx = np.arange(1 << _check_dimension(n))[:, None]
     bits = (idx >> np.arange(n)[None, :]) & 1
     return (2 * bits - 1).astype(np.int8)
 
@@ -232,7 +278,7 @@ def _per_coordinate(table: np.ndarray, coords: Iterable[int], step) -> np.ndarra
 def weights(dist: ProductDistribution) -> np.ndarray:
     """Probability of every point, indexed by truth-table convention."""
     w = np.ones(1)
-    for i in range(dist.n):
+    for i in range(_check_dimension(dist.n)):
         p = dist.probs[i]
         w = np.concatenate([w * (1.0 - p), w * p])
     return w
@@ -258,9 +304,11 @@ def correlated_sample(x: np.ndarray, rho: float, dist: ProductDistribution,
     Conditionally on x, E[x'_i | x] = rho*x_i + (1-rho)*mu_i.  The stream
     is consumed in a fixed order (keep mask first, then fresh draws), so
     replays are exact.  With size given, x may be a single point or a
-    batch of matching leading dimension.
+    batch of matching leading dimension.  A single point's values are
+    checked as `point` does; a batch's width only.
     """
-    x = np.asarray(x)
+    x = _check_width(point(x) if np.ndim(x) < 2 else x, dist.n,
+                     "distribution")
     shape = x.shape if size is None else (size, dist.n)
     return _resampled(np.broadcast_to(x, shape), rho, dist.probs,
                       rng).astype(np.int8)
@@ -280,18 +328,18 @@ def _resampled(x: np.ndarray, rho: float, p: np.ndarray,
 
 def phi(i: int, x: np.ndarray, dist: ProductDistribution) -> float:
     """The standardized coordinate (x_i - mu_i) / sigma_i."""
-    return float((np.asarray(x)[..., i] - dist.mu[i]) / dist.sigma[i])
+    return float(phi_matrix(x, dist)[..., i])
 
 
 def phi_set(S: SubsetIndex, x: np.ndarray, dist: ProductDistribution) -> float:
     """Product of phi over the subset's members; the empty subset gives 1."""
-    out = 1.0
-    x = np.asarray(x)
+    out, ph = 1.0, phi_matrix(x, dist)
     for i in S:
-        out *= (x[i] - dist.mu[i]) / dist.sigma[i]
+        out *= ph[i]
     return float(out)
 
 
 def phi_matrix(x: np.ndarray, dist: ProductDistribution) -> np.ndarray:
     """Standardized coordinates for a point or batch: (x - mu) / sigma."""
-    return (np.asarray(x, dtype=np.float64) - dist.mu) / dist.sigma
+    x = _check_width(x, dist.n, "distribution")
+    return (x.astype(np.float64, copy=False) - dist.mu) / dist.sigma

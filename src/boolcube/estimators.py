@@ -32,8 +32,12 @@ import numpy as np
 
 from .cube import (
     ProductDistribution,
+    _check_count,
+    _check_pairing,
+    _check_width,
     _per_coordinate,
     enumerate_points,
+    point,
     points_to_indices,
     sample,
     weights,
@@ -108,8 +112,7 @@ class EstimatorConfig:
                              % self.kind)
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
-        if self.t_rho_samples < 1:
-            raise ValueError("t_rho_samples must be at least 1")
+        _check_count("t_rho_samples", self.t_rho_samples, 1)
         if not 0.0 <= self.baseline_decay < 1.0:
             raise ValueError("baseline_decay must lie in [0, 1)")
         if self.taylor_at_sample and self.kind != "combined":
@@ -150,6 +153,7 @@ class MeanTaylor:
         """From an expansion: at mu every phi vanishes, so the value is the
         empty-set coefficient and gradient_i is the degree-one coefficient
         over sigma_i."""
+        _check_pairing(dist, e.n, "expansion")
         grad = e.vector[1 << np.arange(dist.n)] / dist.sigma
         return cls(value=e.mean(), gradient=grad)
 
@@ -177,7 +181,7 @@ class GradientEstimate:
 
 def score(x: np.ndarray, dist: ProductDistribution) -> np.ndarray:
     """score_i(x) = d log p(x) / d p_i; broadcasts over leading axes."""
-    return _score(x, dist.probs)
+    return _score(_check_width(x, dist.n, "distribution"), dist.probs)
 
 
 def _score(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -187,7 +191,7 @@ def _score(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def log_prob(x: np.ndarray, dist: ProductDistribution) -> np.ndarray:
     """log p(x) under the product distribution; sums the last axis."""
-    x = np.asarray(x)
+    x = _check_width(x, dist.n, "distribution")
     terms = np.where(x > 0, np.log(dist.probs), np.log1p(-dist.probs))
     return terms.sum(axis=-1)
 
@@ -324,7 +328,11 @@ def _cube_contributions(cfg: EstimatorConfig, f: BooleanFunction,
     """The kernel at the rows xs.  g defaults to f, taylor to f's exact
     MeanTaylor and derivs to f's derivative tables.  Each smoothed value
     averages k resampling draws of all rows, taken from rng; without a
-    stream, or when cfg asks for it, the smoothing is exact."""
+    stream, or when cfg asks for it, the smoothing is exact.  Every front
+    end enters here, so the dimension and width rules are checked here."""
+    if f is not None:
+        _check_pairing(dist, f.n)
+    xs = _check_width(xs, dist.n, "distribution")
     g = f if g is None else g
     exact = rng is None or cfg.exact_inner
 
@@ -348,9 +356,10 @@ def contribution(cfg: EstimatorConfig, f, x: np.ndarray,
 
     g, baseline, taylor and derivs are the parts `single_sample`
     documents; f may be None for straight_through when derivs is given.
-    Inner smoothing draws from rng, and is exact without one.
+    Inner smoothing draws from rng, and is exact without one.  x is
+    checked as `point` checks it, and dist must have f's dimension.
     """
-    return _cube_contributions(cfg, f, dist, np.asarray(x)[None, :], rng,
+    return _cube_contributions(cfg, f, dist, point(x)[None, :], rng,
                                g=g, baseline=baseline, taylor=taylor,
                                derivs=derivs)[0]
 
@@ -373,8 +382,9 @@ def single_sample(cfg: EstimatorConfig, f: BooleanFunction,
     a 2-core Xeon, a `combined` call took 0.206 ms without them and
     0.060 ms with them.
     """
-    return contribution(cfg, f, sample(dist, rng, size=1)[0], dist, rng,
-                        g=g, baseline=baseline, taylor=taylor, derivs=derivs)
+    return _cube_contributions(cfg, f, dist, sample(dist, rng, size=1), rng,
+                               g=g, baseline=baseline, taylor=taylor,
+                               derivs=derivs)[0]
 
 
 def expected_value_by_enumeration(cfg: EstimatorConfig, f: BooleanFunction,
@@ -431,8 +441,7 @@ def estimate_gradient(cfg: EstimatorConfig, f: BooleanFunction,
                       g=None, baseline: float = 0.0, taylor=None,
                       derivs=None) -> GradientEstimate:
     """Average `batch` single-sample contributions from a fresh stream."""
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
+    _check_count("batch", batch, 1)
     rng = stream(seed)
     xs = sample(dist, rng, size=batch)
     m = _cube_contributions(cfg, f, dist, xs, rng, g=g, baseline=baseline,
@@ -530,9 +539,9 @@ def _ema_last_variance(z: np.ndarray, d: float) -> np.ndarray:
 
 
 def check_trials(trials: int) -> None:
-    """Reject a trial count too small for a sample variance (below 2)."""
-    if trials < 2:
-        raise ValueError("trials must be at least 2")
+    """Reject a trial count that is not an integer, or is too small for a
+    sample variance (below 2)."""
+    _check_count("trials", trials, 2)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,13 @@ from .cube import (
     MAX_N,
     ProductDistribution,
     SubsetIndex,
+    _check_count,
+    _check_dimension,
+    _check_pairing,
+    _check_width,
     _per_coordinate,
     phi_matrix,
+    point,
     points_to_indices,
     sample,
     weights,
@@ -42,15 +47,6 @@ __all__ = [
 # Butterfly outputs at or below this multiple of the table's largest
 # magnitude are treated as exact zeros.
 COEFF_DROP = 1e-14
-
-
-def _check_dimension(n: int) -> int:
-    """Refuse a dimension outside [1, MAX_N]: below 1 there is no cube,
-    above MAX_N the library does not allocate the 2^n arrays."""
-    if not 1 <= n <= MAX_N:
-        raise ValueError("dimension %d lies outside the supported range "
-                         "[1, %d]" % (n, MAX_N))
-    return int(n)
 
 
 @lru_cache(maxsize=None)
@@ -88,19 +84,17 @@ class BooleanFunction:
         self._table = t
 
     def value(self, x: np.ndarray) -> float:
-        """Evaluate at one point; its width is checked as in `batch`."""
-        return float(self.batch(np.asarray(x)[None, :])[0])
+        """Evaluate at one point, checked as `point` checks it."""
+        return float(self.batch(point(x)[None, :])[0])
 
     def values(self) -> np.ndarray:
         """The full truth table (read-only)."""
         return self._table
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate a batch of points (rows of xs)."""
-        xs = np.asarray(xs)
-        if xs.shape[-1] != self.n:
-            raise ValueError("points have %d coordinates, the function %d"
-                             % (xs.shape[-1], self.n))
+        """Evaluate a batch of points (rows of xs).  The width is checked;
+        the values are not, and a coordinate counts as +1 when positive."""
+        xs = _check_width(xs, self.n, "function")
         return self._table[points_to_indices(xs)]
 
     def __repr__(self) -> str:
@@ -175,6 +169,7 @@ class FourierExpansion:
         coordinates, mask of the low ones), meet the phi-product bases of
         the two halves, so the work arrays hold 2^(n/2) entries per point.
         """
+        _check_pairing(dist, self.n, "expansion")
         ph = phi_matrix(xs, dist)
         low = self.n // 2
         partial = _basis(ph[:, :low]) @ self.vector.reshape(-1, 1 << low).T
@@ -198,9 +193,7 @@ def transform(f: BooleanFunction, dist: ProductDistribution) -> FourierExpansion
     (1-p)*lo + p*hi and its phi part sqrt(p(1-p))*(hi - lo).  After all
     n passes, entry m holds the coefficient of the subset with bitmask m.
     """
-    if dist.n != f.n:
-        raise ValueError("distribution dimension %d != function dimension %d"
-                         % (dist.n, f.n))
+    _check_pairing(dist, f.n)
     p = dist.probs
     work = _per_coordinate(f.values(), range(f.n), lambda i, lo, hi: (
         (1.0 - p[i]) * lo + p[i] * hi, dist.sigma[i] / 2.0 * (hi - lo)))
@@ -210,9 +203,7 @@ def transform(f: BooleanFunction, dist: ProductDistribution) -> FourierExpansion
 
 def inverse_transform(e: FourierExpansion, dist: ProductDistribution) -> BooleanFunction:
     """Reconstruct the truth table from an expansion (exact inverse of transform)."""
-    if dist.n != e.n:
-        raise ValueError("distribution dimension %d != expansion dimension %d"
-                         % (dist.n, e.n))
+    _check_pairing(dist, e.n, "expansion")
     # coordinate i, last first, rebuilds lo = a + phi_i(-1) b and
     # hi = a + phi_i(+1) b from the pair (a, b)
     p = dist.probs
@@ -238,6 +229,7 @@ def multilinear_gradient(e: FourierExpansion, x: np.ndarray,
     row j of `rows` moves each such coefficient to its slot without j.
     """
     n = e.n
+    _check_pairing(dist, n, "expansion")
     rows = np.zeros((n, 1 << n))
     for j in range(n):
         _lower_slots(e.vector, j, rows[j])
@@ -249,18 +241,19 @@ def norm(f: BooleanFunction, dist: ProductDistribution, order: float) -> float:
 
     Monotone nondecreasing in the order.
     """
-    if order < 1.0:
+    if not order >= 1.0:
         raise ValueError("norm order must be at least 1")
+    _check_pairing(dist, f.n)
     return float((weights(dist) @ np.abs(f.values()) ** order) ** (1.0 / order))
 
 
 def coefficient_mc(f: BooleanFunction, S: SubsetIndex, dist: ProductDistribution,
                    rng: np.random.Generator, samples: int) -> float:
     """Monte Carlo estimate of one coefficient: the sample mean of f * phi_S."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    _check_count("samples", samples, 1)
     if not S.valid_for(f.n):
         raise ValueError("subset %s out of range for n=%d" % (S, f.n))
+    _check_pairing(dist, f.n)
     xs = sample(dist, rng, size=samples)
     phi_S = np.prod(phi_matrix(xs, dist)[:, list(S)], axis=1)
     return float(np.mean(f.batch(xs) * phi_S))

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import PROB_FLOOR, ProductDistribution, _per_coordinate, _resampled, weights
+from .cube import (PROB_FLOOR, ProductDistribution, _check_count, _check_pairing,
+                   _check_width, _per_coordinate, _resampled, point, weights)
 from .fourier import (
     BooleanFunction,
     FourierExpansion,
@@ -62,9 +63,7 @@ def noise_exact(f: BooleanFunction, rho: float,
     Coordinate i's pass maps each pair (lo, hi) to rho (lo, hi) + (1 - rho)
     ((1 - p_i) lo + p_i hi); for any real rho it equals `noise_expansion`.
     """
-    if dist.n != f.n:
-        raise ValueError("distribution dimension %d != function dimension %d"
-                         % (dist.n, f.n))
+    _check_pairing(dist, f.n)
     return BooleanFunction(f.n, table=_per_coordinate(
         f.values(), range(f.n), lambda i, lo, hi: (
             lo + (1.0 - rho) * dist.probs[i] * (hi - lo),
@@ -74,10 +73,12 @@ def noise_exact(f: BooleanFunction, rho: float,
 def noise_mc(f: BooleanFunction, x: np.ndarray, rho: float,
              dist: ProductDistribution, rng: np.random.Generator,
              samples: int = 1) -> float:
-    """Monte Carlo value of (T_rho f)(x): average f over resamplings of x."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    xs = np.broadcast_to(np.asarray(x, dtype=np.int8), (samples, dist.n))
+    """Monte Carlo value of (T_rho f)(x): average f over resamplings of x,
+    a point checked as `point` checks it."""
+    _check_count("samples", samples, 1)
+    _check_pairing(dist, f.n)
+    x = _check_width(point(x), f.n, "function")
+    xs = np.broadcast_to(x, (samples, dist.n))
     return float(np.mean(_smoothed_mc(f.batch, xs, dist.probs, rho, 1, rng)))
 
 
@@ -95,6 +96,7 @@ def _smoothed_mc(g, x: np.ndarray, p: np.ndarray, rho: float, k: int,
 
 def expectation(f: BooleanFunction, dist: ProductDistribution) -> float:
     """E[f] by exact enumeration."""
+    _check_pairing(dist, f.n)
     return float(f.values() @ weights(dist))
 
 
@@ -117,6 +119,9 @@ def numeric_gradient(f: BooleanFunction, dist: ProductDistribution,
     takes it as given; E_p[f] is affine in p_i, so the difference over
     the clipped interval is still the exact slope, up to rounding.
     """
+    if not h > 0.0:
+        raise ValueError("step h must be positive")
+    _check_pairing(dist, f.n)
     t = f.values()
     out = np.empty(dist.n)
     for i in range(dist.n):
@@ -135,7 +140,7 @@ def rho_bound(q: float, min_prob: float) -> float:
     rho <= (q-1)^{-1/2} * lambda^{1/2 - 1/q} with lambda the smallest
     outcome probability of the measure.
     """
-    if q <= 2.0:
+    if not q > 2.0:
         raise ValueError("q must exceed 2")
     if not 0.0 < min_prob <= 0.5:
         raise ValueError("min_prob must lie in (0, 0.5]")

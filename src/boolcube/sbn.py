@@ -36,8 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cube import (MAX_N, PROB_FLOOR, ProductDistribution, enumerate_points,
-                   weights)
+from .cube import (MAX_N, PROB_FLOOR, ProductDistribution, _is_integer,
+                   enumerate_points, weights)
 from .estimators import (EstimatorConfig, _contributions, _score,
                          ema_mean_and_variance)
 from .fourier import BooleanFunction
@@ -151,9 +151,11 @@ class TrainConfig:
     freeze_g: bool = False
 
     def __post_init__(self):
+        if not (_is_integer(self.steps) and _is_integer(self.minibatch)):
+            raise ValueError("steps and minibatch must be integers")
         if self.steps < 1 or self.minibatch < 1:
             raise ValueError("steps and minibatch must be positive")
-        if self.learning_rate <= 0 or self.baseline_lr_scale <= 0:
+        if not (self.learning_rate > 0 and self.baseline_lr_scale > 0):
             raise ValueError("learning rates must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")

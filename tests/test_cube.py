@@ -9,20 +9,46 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from boolcube import (
+    KINDS,
     PROB_FLOOR,
+    EstimatorConfig,
+    MeanTaylor,
     ProbabilityClampWarning,
     ProductDistribution,
     SubsetIndex,
+    TrainConfig,
+    benchmark_variance,
+    check_trials,
+    coefficient_mc,
+    contribution,
     correlated_sample,
     enumerate_points,
+    estimate_gradient,
+    exact_gradient,
+    expectation,
+    expected_value_by_enumeration,
+    hypercontractivity_check,
     index_to_point,
+    inverse_transform,
+    log_prob,
+    multilinear_gradient,
+    noise_exact,
+    noise_mc,
+    norm,
+    numeric_gradient,
+    parse_function,
     phi,
     phi_matrix,
     phi_set,
     point,
     point_to_index,
+    rho_bound,
     sample,
+    score,
+    single_sample,
     stream,
+    transform,
+    variance_by_enumeration,
     weights,
 )
 
@@ -316,3 +342,213 @@ def test_no_warning_for_interior_probs():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ProductDistribution([0.2, 0.8])
+
+
+# ---------------------------------------------------------------------------
+# The shape rules, one refusal per entry point and rule: a distribution
+# pairs only with a table or expansion of its own dimension ("dimension"),
+# rows have the paired object's width ("width"), and a point a caller
+# passes is exactly -1/+1 ("value").  Each message is written once, in
+# `cube`.  tests/test_exports.py requires a row for every public callable
+# with a `dist` parameter.
+
+F3 = parse_function("maj(3)").build()
+E3 = transform(F3, ProductDistribution.uniform(3))
+D1, D2, D3 = (ProductDistribution.uniform(n) for n in (1, 2, 3))
+X2, X3 = [1, -1], [1, -1, 1]
+CFG = EstimatorConfig("combined")
+
+PAIR_F = "distribution dimension 2 != function dimension 3"
+PAIR_E = "distribution dimension 2 != expansion dimension 3"
+WIDTH_F = "points have 2 coordinates, the function 3"
+WIDTH_D3 = "points have 2 coordinates, the distribution 3"
+WIDTH_D1 = "points have 3 coordinates, the distribution 1"
+VALUE = "point coordinates must be exactly -1 or +1"
+
+
+def fresh_rng():
+    return stream(5, 5)
+
+
+# (entry point, rule, call, message)
+REFUSALS = [
+    ("weights", "dimension", lambda: weights(ProductDistribution.uniform(17)),
+     "dimension 17 lies outside the supported range [1, 16]"),
+    ("enumerate_points", "dimension", lambda: enumerate_points(17),
+     "dimension 17 lies outside the supported range [1, 16]"),
+    ("index_to_point", "dimension", lambda: index_to_point(0, 0),
+     "dimension 0 lies outside the supported range [1, 16]"),
+    ("point_to_index", "value", lambda: point_to_index([1, 0, 1]), VALUE),
+    ("correlated_sample", "width",
+     lambda: correlated_sample(X3, 0.5, D1, fresh_rng()), WIDTH_D1),
+    ("correlated_sample", "value",
+     lambda: correlated_sample([1, 0, 1], 1.0, D3, fresh_rng()), VALUE),
+    ("phi", "width", lambda: phi(0, X3, D1), WIDTH_D1),
+    ("phi_set", "width", lambda: phi_set(SubsetIndex.of([0]), X3, D1),
+     WIDTH_D1),
+    ("phi_matrix", "width", lambda: phi_matrix(X3, D1), WIDTH_D1),
+    ("BooleanFunction.value", "width", lambda: F3.value(X2), WIDTH_F),
+    ("BooleanFunction.value", "value", lambda: F3.value([1, 0.5, -3]), VALUE),
+    ("BooleanFunction.batch", "width", lambda: F3.batch([X2]), WIDTH_F),
+    ("FourierExpansion.evaluate", "dimension", lambda: E3.evaluate(X2, D2),
+     PAIR_E),
+    ("FourierExpansion.evaluate", "width", lambda: E3.evaluate(X2, D3),
+     WIDTH_D3),
+    ("FourierExpansion.evaluate_batch", "dimension",
+     lambda: E3.evaluate_batch([X2], D2), PAIR_E),
+    ("FourierExpansion.evaluate_batch", "width",
+     lambda: E3.evaluate_batch([X2], D3), WIDTH_D3),
+    ("transform", "dimension", lambda: transform(F3, D2), PAIR_F),
+    ("inverse_transform", "dimension", lambda: inverse_transform(E3, D2),
+     PAIR_E),
+    ("multilinear_gradient", "dimension",
+     lambda: multilinear_gradient(E3, X2, D2), PAIR_E),
+    ("multilinear_gradient", "width",
+     lambda: multilinear_gradient(E3, X2, D3), WIDTH_D3),
+    ("norm", "dimension", lambda: norm(F3, D2, 2.0), PAIR_F),
+    ("coefficient_mc", "dimension",
+     lambda: coefficient_mc(F3, SubsetIndex.of([0]), D2, fresh_rng(), 10),
+     PAIR_F),
+    ("noise_exact", "dimension", lambda: noise_exact(F3, 0.5, D2), PAIR_F),
+    ("noise_mc", "dimension",
+     lambda: noise_mc(F3, X3, 0.5, D2, fresh_rng()), PAIR_F),
+    ("noise_mc", "width",
+     lambda: noise_mc(F3, X2, 0.5, D3, fresh_rng()), WIDTH_F),
+    ("noise_mc", "value",
+     lambda: noise_mc(F3, [1, 0, 1], 0.5, D3, fresh_rng()), VALUE),
+    ("expectation", "dimension", lambda: expectation(F3, D2), PAIR_F),
+    ("exact_gradient", "dimension", lambda: exact_gradient(F3, D2), PAIR_F),
+    ("numeric_gradient", "dimension", lambda: numeric_gradient(F3, D2),
+     PAIR_F),
+    ("hypercontractivity_check", "dimension",
+     lambda: hypercontractivity_check(F3, D2), PAIR_F),
+    ("MeanTaylor.exact", "dimension", lambda: MeanTaylor.exact(E3, D2), PAIR_E),
+    ("MeanTaylor.from_function", "dimension",
+     lambda: MeanTaylor.from_function(F3, D2), PAIR_F),
+    ("score", "width", lambda: score(X3, D1), WIDTH_D1),
+    ("log_prob", "width", lambda: log_prob(X3, D1), WIDTH_D1),
+    ("contribution", "dimension", lambda: contribution(CFG, F3, X3, D2),
+     PAIR_F),
+    ("contribution", "width", lambda: contribution(CFG, F3, X2, D3), WIDTH_D3),
+    ("contribution", "value", lambda: contribution(CFG, F3, [1, 0, 1], D3),
+     VALUE),
+    ("single_sample", "dimension",
+     lambda: single_sample(CFG, F3, D2, fresh_rng()), PAIR_F),
+    ("expected_value_by_enumeration", "dimension",
+     lambda: expected_value_by_enumeration(CFG, F3, D2), PAIR_F),
+    ("variance_by_enumeration", "dimension",
+     lambda: variance_by_enumeration(CFG, F3, D2), PAIR_F),
+    ("estimate_gradient", "dimension",
+     lambda: estimate_gradient(CFG, F3, D2, 10, 0), PAIR_F),
+    ("benchmark_variance", "dimension",
+     lambda: benchmark_variance(CFG, F3, D2, 10, 0), PAIR_F),
+]
+
+
+@pytest.mark.parametrize("entry, rule, call, message", REFUSALS,
+                         ids=["%s-%s" % row[:2] for row in REFUSALS])
+def test_shape_rule_refusals(entry, rule, call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_estimator_front_ends_refuse_a_mismatch_with_one_message(kind):
+    cfg = EstimatorConfig(kind)
+    for call in (lambda: contribution(cfg, F3, X3, D2),
+                 lambda: single_sample(cfg, F3, D2, fresh_rng()),
+                 lambda: expected_value_by_enumeration(cfg, F3, D2),
+                 lambda: variance_by_enumeration(cfg, F3, D2),
+                 lambda: estimate_gradient(cfg, F3, D2, 10, 0),
+                 lambda: benchmark_variance(cfg, F3, D2, 10, 0)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == PAIR_F
+
+
+def test_point_to_index_and_phi_read_the_checked_point():
+    # point_to_index is points_to_indices of a checked point, and phi and
+    # phi_set read phi_matrix; both agree with the direct formulas
+    r = stream(5, 6)
+    for n in (1, 5, 16):
+        d = random_dist(n, r)
+        for m in r.integers(0, 1 << n, 20):
+            x = index_to_point(int(m), n)
+            assert point_to_index(x) == m
+            assert point_to_index(x.astype(np.float64)) == m
+            y = r.uniform(-1.0, 1.0, n)
+            for z in (x, y):
+                direct = (np.asarray(z) - d.mu) / d.sigma
+                for i in range(n):
+                    assert phi(i, z, d) == direct[i]
+                S = SubsetIndex(int(r.integers(0, 1 << n)))
+                want = 1.0
+                for i in S:
+                    want *= direct[i]
+                assert phi_set(S, z, d) == want
+
+
+def cfg_t(k):
+    return EstimatorConfig("fourier_cv", t_rho_samples=k)
+
+
+def cfg_train(**kw):
+    args = dict(estimator=EstimatorConfig("reinforce"), steps=1, seed=0)
+    args.update(kw)
+    return TrainConfig(**args)
+
+
+# Settings and counts that are not integers, or NaN, each refused by the
+# function or config class that owns it: (id, call, message).
+SETTINGS = [
+    ("t_rho_samples-float", lambda: cfg_t(1.5),
+     "t_rho_samples must be an integer"),
+    ("t_rho_samples-bool", lambda: cfg_t(True),
+     "t_rho_samples must be an integer"),
+    ("t_rho_samples-zero", lambda: cfg_t(0), "t_rho_samples must be at least 1"),
+    ("steps-float", lambda: cfg_train(steps=1.5),
+     "steps and minibatch must be integers"),
+    ("minibatch-float", lambda: cfg_train(minibatch=2.0),
+     "steps and minibatch must be integers"),
+    ("learning_rate-nan", lambda: cfg_train(learning_rate=np.nan),
+     "learning rates must be positive"),
+    ("baseline_lr_scale-nan", lambda: cfg_train(baseline_lr_scale=np.nan),
+     "learning rates must be positive"),
+    ("check_trials-float", lambda: check_trials(2.5),
+     "trials must be an integer"),
+    ("benchmark_variance-trials-float",
+     lambda: benchmark_variance(CFG, F3, D3, 2.5, 0),
+     "trials must be an integer"),
+    ("estimate_gradient-batch-float",
+     lambda: estimate_gradient(CFG, F3, D3, 2.5, 0),
+     "batch must be an integer"),
+    ("noise_mc-samples-float",
+     lambda: noise_mc(F3, X3, 0.5, D3, fresh_rng(), samples=2.5),
+     "samples must be an integer"),
+    ("norm-order-nan", lambda: norm(F3, D3, np.nan),
+     "norm order must be at least 1"),
+    ("rho_bound-q-nan", lambda: rho_bound(np.nan, 0.5), "q must exceed 2"),
+    ("numeric_gradient-h-zero", lambda: numeric_gradient(F3, D3, h=0.0),
+     "step h must be positive"),
+    ("numeric_gradient-h-nan", lambda: numeric_gradient(F3, D3, h=np.nan),
+     "step h must be positive"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in SETTINGS],
+                         ids=[row[0] for row in SETTINGS])
+def test_settings_and_counts_refused_by_their_owner(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_numpy_integer_counts_are_accepted():
+    k = np.int64(2)
+    assert cfg_t(k).label() == cfg_t(2).label()
+    assert cfg_train(steps=np.int32(3), minibatch=np.int64(4)).steps == 3
+    check_trials(np.int64(2))
+    got = estimate_gradient(CFG, F3, D3, np.int64(8), 0).grad
+    assert np.array_equal(got, estimate_gradient(CFG, F3, D3, 8, 0).grad)
+    assert benchmark_variance(CFG, F3, D3, np.int64(4), 0).trials == 4

@@ -1,12 +1,15 @@
 """Export lists: every listed name exists, the package re-exports each
-module's list, removed names stay gone, and every imported name is used."""
+module's list, removed names stay gone, every imported name is used, and
+every public callable that takes a distribution has a refusal row."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import boolcube
+from test_cube import REFUSALS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,3 +85,38 @@ def test_every_imported_name_is_used():
                     continue
                 name = alias.asname or alias.name.split(".")[0]
                 assert name in used, where + (name,)
+
+
+# Public callables with a `dist` parameter that pair it with nothing a
+# caller gives, so the shape rules have nothing to refuse.
+NO_REFUSAL = {
+    "sample": "draws from the distribution alone",
+}
+
+
+def takes_dist(fn) -> bool:
+    try:
+        return "dist" in inspect.signature(fn).parameters
+    except (TypeError, ValueError):
+        return False
+
+
+def public_dist_callables():
+    # module functions by name, methods of exported classes as Class.method
+    for mod in modules():
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isclass(obj):
+                for attr in vars(obj):
+                    if not attr.startswith("_") and takes_dist(getattr(obj, attr)):
+                        yield "%s.%s" % (name, attr)
+            elif callable(obj) and takes_dist(obj):
+                yield name
+
+
+def test_every_callable_taking_a_distribution_has_a_refusal_row():
+    found = set(public_dist_callables())
+    assert set(NO_REFUSAL) <= found
+    rows = {entry for entry, *_ in REFUSALS}
+    missing = sorted(found - rows - set(NO_REFUSAL))
+    assert not missing, missing
