@@ -291,6 +291,8 @@ def sample(dist: ProductDistribution, rng: np.random.Generator,
     Coordinate i is +1 with probability probs[i], independently.
     Deterministic given the stream state.
     """
+    if size is not None:
+        _check_count("size", size, 1)
     shape = (dist.n,) if size is None else (size, dist.n)
     u = rng.random(shape)
     return np.where(u < dist.probs, 1, -1).astype(np.int8)
@@ -304,26 +306,31 @@ def correlated_sample(x: np.ndarray, rho: float, dist: ProductDistribution,
     Conditionally on x, E[x'_i | x] = rho*x_i + (1-rho)*mu_i.  The stream
     is consumed in a fixed order (keep mask first, then fresh draws), so
     replays are exact.  With size given, x may be a single point or a
-    batch of matching leading dimension.  A single point's values are
-    checked as `point` does; a batch's width only.
+    batch of size rows.  A single point's values are checked as `point`
+    does; a batch's width only.  The draw runs on x's sign bits, turned
+    back into -1/+1 int8 here.
     """
     x = _check_width(point(x) if np.ndim(x) < 2 else x, dist.n,
                      "distribution")
+    if size is not None:
+        _check_count("size", size, 1)
+        if x.ndim > 1 and x.shape[0] != size:
+            raise ValueError("size %d != %d rows of x" % (size, x.shape[0]))
     shape = x.shape if size is None else (size, dist.n)
-    return _resampled(np.broadcast_to(x, shape), rho, dist.probs,
-                      rng).astype(np.int8)
+    bits = _resampled(np.broadcast_to(x > 0, shape), rho, dist.probs, rng)
+    return np.where(bits, np.int8(1), np.int8(-1))
 
 
-def _resampled(x: np.ndarray, rho: float, p: np.ndarray,
+def _resampled(bits: np.ndarray, rho: float, p: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
-    """x with each coordinate kept with probability rho and otherwise
-    redrawn as +1 with probability p, which broadcasts against x.  The
-    keep mask is drawn before the fresh values."""
+    """Sign bits (True = +1) with each kept with probability rho and
+    otherwise redrawn as True with probability p, which broadcasts
+    against bits.  The keep mask is drawn before the fresh values.
+    Callers read their rows' signs once and convert back at their edge."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    keep = rng.random(x.shape) < rho
-    fresh = np.where(rng.random(x.shape) < p, 1, -1)
-    return np.where(keep, x, fresh)
+    keep = rng.random(bits.shape) < rho
+    return np.where(keep, bits, rng.random(bits.shape) < p)
 
 
 def phi(i: int, x: np.ndarray, dist: ProductDistribution) -> float:

@@ -237,13 +237,16 @@ def multilinear_gradient(e: FourierExpansion, x: np.ndarray,
 
 
 def norm(f: BooleanFunction, dist: ProductDistribution, order: float) -> float:
-    """Exact moment norm by enumeration: (E |f|^order)^(1/order).
+    """Exact moment norm by enumeration: (E |f|^order)^(1/order), and
+    max |f| at an infinite order, since every point has positive weight.
 
     Monotone nondecreasing in the order.
     """
     if not order >= 1.0:
         raise ValueError("norm order must be at least 1")
     _check_pairing(dist, f.n)
+    if order == np.inf:
+        return float(np.max(np.abs(f.values())))
     return float((weights(dist) @ np.abs(f.values()) ** order) ** (1.0 / order))
 
 

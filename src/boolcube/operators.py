@@ -63,6 +63,8 @@ def noise_exact(f: BooleanFunction, rho: float,
     Coordinate i's pass maps each pair (lo, hi) to rho (lo, hi) + (1 - rho)
     ((1 - p_i) lo + p_i hi); for any real rho it equals `noise_expansion`.
     """
+    if not np.isfinite(rho):
+        raise ValueError("rho must be finite")
     _check_pairing(dist, f.n)
     return BooleanFunction(f.n, table=_per_coordinate(
         f.values(), range(f.n), lambda i, lo, hi: (
@@ -84,13 +86,16 @@ def noise_mc(f: BooleanFunction, x: np.ndarray, rho: float,
 
 def _smoothed_mc(g, x: np.ndarray, p: np.ndarray, rho: float, k: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """k-draw Monte Carlo value of (T_rho g) at every row of x, with g
-    evaluating a batch of rows; each draw resamples every row as
-    `correlated_sample` does, against probabilities p (a distribution's
-    probs, or one row per row), so a stream replays exactly."""
+    """k-draw Monte Carlo value of (T_rho g) at every row of x; each draw
+    resamples every row as `correlated_sample` does, against
+    probabilities p (a distribution's probs, or one row per row), so a
+    stream replays exactly.  x's rows are read by sign once, and g
+    evaluates a batch of sign-bit rows (True = +1): `BooleanFunction.batch`
+    takes them as they are, and a caller whose g wants -1/+1 converts."""
+    bits = x > 0
     acc = np.zeros(x.shape[0])
     for _ in range(k):
-        acc += g(_resampled(x, rho, p, rng).astype(x.dtype, copy=False))
+        acc += g(_resampled(bits, rho, p, rng))
     return acc / k
 
 

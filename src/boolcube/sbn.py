@@ -343,12 +343,12 @@ def _q_logit_rows(est: EstimatorConfig, draw: _Draw, li: int,
                   b_val: np.ndarray, rng_inner: np.random.Generator):
     """A training step's per-row gradients in layer li's q logits: the
     layer's contributions, with the smoothed g from k resampled draws
-    per row, times sigma'(t)."""
+    per row, times sigma'(t); the resampled sign bits become -1/+1 rows
+    for the g net."""
     contrib = _layer_contributions(
-        est, draw, li, b_val,
-        lambda rho: _smoothed_mc(draw.baselines.g[li].value, draw.xs[li],
-                                 draw.probs[li], rho, est.t_rho_samples,
-                                 rng_inner))
+        est, draw, li, b_val, lambda rho: _smoothed_mc(
+            lambda bits: draw.baselines.g[li].value(np.where(bits, 1.0, -1.0)),
+            draw.xs[li], draw.probs[li], rho, est.t_rho_samples, rng_inner))
     s = draw.raw[li]
     return contrib * s * (1.0 - s)
 

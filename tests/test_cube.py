@@ -51,6 +51,8 @@ from boolcube import (
     variance_by_enumeration,
     weights,
 )
+from boolcube.nets import MLP
+from boolcube.operators import _smoothed_mc
 
 
 def random_dist(n, rng):
@@ -320,6 +322,70 @@ def test_correlated_sample_batch_shape():
     assert np.all(np.abs(out) == 1)
 
 
+def resampled_by_hand(x, rho, p, rng):
+    """The resampler written out: one uniform array for the keep mask,
+    then one for the fresh values, taken from rng in that order; rows
+    are read by sign and returned as -1/+1."""
+    keep = rng.random(np.shape(x)) < rho
+    fresh = np.where(rng.random(np.shape(x)) < p, 1, -1)
+    return np.where(keep, np.where(np.asarray(x) > 0, 1, -1), fresh)
+
+
+F5 = parse_function("randpoly(5,3,0.5,3)").build()
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("dtype", [np.int8, np.float64, bool])
+def test_resampler_draws_keep_then_fresh(rho, dtype):
+    # the batch entry points replay the hand-written stream order bit for
+    # bit, whatever dtype carries the rows, on a table and on a net that
+    # takes -1/+1 rows as the trainer's g does
+    rows, n = 40, 5
+    r = stream(5, 8)
+    d = random_dist(n, r)
+    signs = sample(d, r, size=rows)
+    xs = signs > 0 if dtype is bool else signs.astype(dtype)
+
+    got = correlated_sample(xs, rho, d, stream(5, 9))
+    assert got.dtype == np.int8
+    assert np.array_equal(got, resampled_by_hand(signs, rho, d.probs,
+                                                 stream(5, 9)))
+
+    net = MLP(stream(5, 10), (n, 8, 1))
+    for p in (d.probs, r.uniform(0.1, 0.9, (rows, n))):
+        for k in (1, 3):
+            ref = stream(5, 11)
+            drawn = [resampled_by_hand(signs, rho, p, ref) for _ in range(k)]
+            for g, on_rows in (
+                    (F5.batch, F5.batch),
+                    (lambda bits: net.value(np.where(bits, 1.0, -1.0)),
+                     net.value)):
+                want = np.zeros(rows)
+                for x in drawn:
+                    want += on_rows(x)
+                got = _smoothed_mc(g, xs, p, rho, k, stream(5, 11))
+                assert np.array_equal(got, want / k), (k, p.ndim)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+def test_resampler_draws_keep_then_fresh_from_one_point(rho, dtype):
+    rows, n = 40, 5
+    d = random_dist(n, stream(5, 8))
+    x = index_to_point(19, n).astype(dtype)
+    tiled = np.broadcast_to(x, (rows, n))
+    got = correlated_sample(x, rho, d, stream(5, 9))
+    assert got.dtype == np.int8
+    assert np.array_equal(got, resampled_by_hand(x, rho, d.probs,
+                                                 stream(5, 9)))
+    got = correlated_sample(x, rho, d, stream(5, 9), size=rows)
+    assert np.array_equal(got, resampled_by_hand(tiled, rho, d.probs,
+                                                 stream(5, 9)))
+    want = np.mean(F5.batch(resampled_by_hand(tiled, rho, d.probs,
+                                              stream(5, 12))))
+    assert noise_mc(F5, x, rho, d, stream(5, 12), samples=rows) == want
+
+
 def test_phi_matrix_batch_matches_scalar():
     rng = stream(7, 11)
     d = random_dist(4, rng)
@@ -383,6 +449,9 @@ REFUSALS = [
      lambda: correlated_sample(X3, 0.5, D1, fresh_rng()), WIDTH_D1),
     ("correlated_sample", "value",
      lambda: correlated_sample([1, 0, 1], 1.0, D3, fresh_rng()), VALUE),
+    ("correlated_sample", "rows",
+     lambda: correlated_sample(sample(D3, fresh_rng(), size=4), 0.5, D3,
+                               fresh_rng(), size=5), "size 5 != 4 rows of x"),
     ("phi", "width", lambda: phi(0, X3, D1), WIDTH_D1),
     ("phi_set", "width", lambda: phi_set(SubsetIndex.of([0]), X3, D1),
      WIDTH_D1),
@@ -499,8 +568,9 @@ def cfg_train(**kw):
     return TrainConfig(**args)
 
 
-# Settings and counts that are not integers, or NaN, each refused by the
-# function or config class that owns it: (id, call, message).
+# Settings and counts that are not integers, out of range or not finite,
+# each refused by the function or config class that owns it: (id, call,
+# message).
 SETTINGS = [
     ("t_rho_samples-float", lambda: cfg_t(1.5),
      "t_rho_samples must be an integer"),
@@ -533,6 +603,20 @@ SETTINGS = [
      "step h must be positive"),
     ("numeric_gradient-h-nan", lambda: numeric_gradient(F3, D3, h=np.nan),
      "step h must be positive"),
+    ("sample-size-negative", lambda: sample(D3, fresh_rng(), size=-1),
+     "size must be at least 1"),
+    ("sample-size-float", lambda: sample(D3, fresh_rng(), size=1.5),
+     "size must be an integer"),
+    ("correlated_sample-size-zero",
+     lambda: correlated_sample(X3, 0.5, D3, fresh_rng(), size=0),
+     "size must be at least 1"),
+    ("noise_exact-rho-nan", lambda: noise_exact(F3, np.nan, D3),
+     "rho must be finite"),
+    ("noise_exact-rho-inf", lambda: noise_exact(F3, -np.inf, D3),
+     "rho must be finite"),
+    ("hypercontractivity_check-rho-nan",
+     lambda: hypercontractivity_check(F3, D3, rho=np.nan),
+     "rho must be finite"),
 ]
 
 

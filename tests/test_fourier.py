@@ -162,11 +162,18 @@ def test_norm_examples_and_monotonicity():
     with pytest.raises(ValueError):
         norm(spiky, d, 0.99)
 
+    # at an infinite order, the sup norm
+    ramp = BooleanFunction(3, table=np.arange(8.0))
+    assert norm(ramp, U3, np.inf) == 7.0
+    assert norm(spiky, d, np.inf) == 2.0
+
     rng = stream(11, 4)
     for _ in range(100):
         f = BooleanFunction(3, table=rng.normal(size=8))
         dist = random_dist(3, rng)
-        assert norm(f, dist, 2.0) <= norm(f, dist, 4.0) + 1e-12
+        norms = [norm(f, dist, q) for q in (1.0, 2.0, 4.0, 16.0, np.inf)]
+        assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
+        assert norms[-1] == np.abs(f.values()).max()
 
 
 def test_coefficient_mc_unbiased_by_enumeration():

@@ -200,8 +200,11 @@ def test_smoothed_g_keeps_everything_at_rho_one():
     model, qnet, baselines = toy_probe()
     x = np.where(stream(54).random((6, 4)) < 0.5, 1.0, -1.0)
     p = np.full((6, 4), 0.3)
-    got = _smoothed_mc(baselines.g[0].value, x, p, rho=1.0, k=1, rng=stream(55))
-    assert np.array_equal(got, baselines.g[0].value(x))
+    g = baselines.g[0].value
+    # the resampler hands g sign bits; sbn turns them into -1/+1 rows
+    got = _smoothed_mc(lambda bits: g(np.where(bits, 1.0, -1.0)), x, p,
+                       rho=1.0, k=1, rng=stream(55))
+    assert np.array_equal(got, g(x))
 
 
 # ---------------------------------------------------------------------------
