@@ -267,12 +267,32 @@ def enumerate_points(n: int) -> np.ndarray:
 def _per_coordinate(table: np.ndarray, coords: Iterable[int], step) -> np.ndarray:
     """A float64 copy of table in which, for each i of coords in turn,
     every pair (lo, hi) of entries whose indices differ only in bit i is
-    replaced by step(i, lo, hi); lo and hi are arrays over all the pairs."""
+    replaced by step(i, lo, hi); lo and hi are arrays over all the pairs.
+
+    Every pass reads runs of at least 2^h consecutive entries, h = n // 2:
+    a pass on a coordinate i < h would otherwise run each ufunc over
+    2^(n-i-1) inner loops of 2^i entries.  Such passes work on the table
+    transposed as a (2^(n-h), 2^h) matrix, where coordinate i is bit
+    i + n - h; the layout swaps only when the next coordinate lies on the
+    other side of h, and swaps back at the end.  Each pass does the same
+    elementwise arithmetic on the same pairs in either layout."""
     work = np.array(table, dtype=np.float64)
+    n = work.size.bit_length() - 1
+    h = n // 2
+    low = False
     for i in coords:
-        pairs = work.reshape(-1, 2, 1 << i)
+        if (i < h) != low:
+            work = _transposed(work, 1 << (h if low else n - h))
+            low = not low
+        pairs = work.reshape(-1, 2, 1 << (i + n - h if low else i))
         pairs[:, 0], pairs[:, 1] = step(i, pairs[:, 0], pairs[:, 1])
-    return work
+    return _transposed(work, 1 << h) if low else work
+
+
+def _transposed(work: np.ndarray, rows: int) -> np.ndarray:
+    """The flat table work read as a matrix of `rows` rows, transposed
+    into a new flat C-ordered table."""
+    return np.ascontiguousarray(work.reshape(rows, -1).T).ravel()
 
 
 def weights(dist: ProductDistribution) -> np.ndarray:

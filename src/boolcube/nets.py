@@ -117,7 +117,13 @@ class MLP:
         self._act, self._dact = _act(hidden_act)
 
     def forward(self, x: np.ndarray):
-        h = np.asarray(x, dtype=np.float64)
+        """Outputs and cache for a batch of -1/+1 rows; a bool batch of
+        sign bits is refused rather than read as 0/1."""
+        x = np.asarray(x)
+        if x.dtype == np.bool_:
+            raise ValueError("MLP inputs are -1/+1 rows, not sign bits; "
+                             "convert with np.where(bits, 1.0, -1.0)")
+        h = x.astype(np.float64, copy=False)
         inputs = []
         for k, layer in enumerate(self.layers):
             inputs.append(h)

@@ -66,10 +66,14 @@ def noise_exact(f: BooleanFunction, rho: float,
     if not np.isfinite(rho):
         raise ValueError("rho must be finite")
     _check_pairing(dist, f.n)
-    return BooleanFunction(f.n, table=_per_coordinate(
-        f.values(), range(f.n), lambda i, lo, hi: (
-            lo + (1.0 - rho) * dist.probs[i] * (hi - lo),
-            hi - (1.0 - rho) * (1.0 - dist.probs[i]) * (hi - lo))))
+    p = dist.probs
+
+    def step(i, lo, hi):
+        d = hi - lo
+        return (lo + ((1.0 - rho) * p[i]) * d,
+                hi - ((1.0 - rho) * (1.0 - p[i])) * d)
+
+    return BooleanFunction(f.n, table=_per_coordinate(f.values(), range(f.n), step))
 
 
 def noise_mc(f: BooleanFunction, x: np.ndarray, rho: float,

@@ -51,6 +51,7 @@ from boolcube import (
     variance_by_enumeration,
     weights,
 )
+from boolcube.cube import _per_coordinate
 from boolcube.nets import MLP
 from boolcube.operators import _smoothed_mc
 
@@ -158,6 +159,55 @@ def test_weights_match_per_point_products():
     for m, x in enumerate(enumerate_points(3)):
         expect = np.prod(np.where(x > 0, d.probs, 1 - d.probs))
         assert abs(w[m] - expect) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The per-coordinate table pass
+
+
+def per_coordinate_by_hand(table, coords, step):
+    """The pass in the table's own layout: coordinate i is bit i."""
+    work = np.array(table, dtype=np.float64)
+    for i in coords:
+        pairs = work.reshape(-1, 2, 1 << i)
+        pairs[:, 0], pairs[:, 1] = step(i, pairs[:, 0], pairs[:, 1])
+    return work
+
+
+def uneven_step(i, lo, hi):
+    """Non-linear and asymmetric in lo and hi, so a wrong pairing or a
+    swapped pair cannot cancel out; bounded, so repeats stay finite."""
+    return (lo * hi / (1.0 + lo * lo + hi * hi) + 0.25 * i,
+            (lo - hi) / (1.0 + hi * hi) - 0.5)
+
+
+def crossing_order(n, rng):
+    """Six shuffled runs of coordinates, drawn with repeats, alternately
+    below n // 2 and at or above it (one side only when n = 1)."""
+    h = n // 2
+    sides = [s for s in (np.arange(h), np.arange(h, n)) if s.size]
+    order = []
+    for k in range(6):
+        side = sides[k % len(sides)]
+        order += [int(i) for i in rng.choice(side, size=rng.integers(1, 4))]
+    return order
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_per_coordinate_matches_the_plain_loop_bit_for_bit(n):
+    rng = stream(0, 300 + n)
+    table = rng.normal(size=1 << n)
+    before = table.copy()
+    orders = [list(range(n)), list(range(n - 1, -1, -1)),
+              crossing_order(n, rng)] + [[i] for i in range(n)]
+    for coords in orders:
+        got = _per_coordinate(table, coords, uneven_step)
+        want = per_coordinate_by_hand(table, coords, uneven_step)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), coords
+        assert got.dtype == np.float64 and got.shape == (1 << n,)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, table)
+    assert np.array_equal(table.view(np.int64), before.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

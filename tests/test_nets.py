@@ -161,6 +161,18 @@ def test_mlp_zero_makes_output_zero():
     assert np.array_equal(net.value(x), np.zeros(4))
 
 
+def test_mlp_refuses_sign_bits_and_reads_float_rows_in_place():
+    net = MLP(stream(49), sizes=(3, 4, 1))
+    bits = stream(50).random((5, 3)) < 0.5
+    with pytest.raises(ValueError, match=r"-1/\+1 rows"):
+        net.forward(bits)
+    rows = np.where(bits, 1.0, -1.0)
+    _, cache = net.forward(rows)
+    assert cache[0] is rows
+    ints = np.where(bits, 1, -1)
+    assert np.array_equal(net.value(ints), net.value(rows))
+
+
 def test_momentum_hand_sequence():
     p = np.array([1.0, -1.0])
     opt = Momentum([p], momentum=0.5)
