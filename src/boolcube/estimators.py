@@ -35,7 +35,6 @@ from .cube import (
     _check_count,
     _check_pairing,
     _check_width,
-    _per_coordinate,
     enumerate_points,
     point,
     points_to_indices,
@@ -56,7 +55,6 @@ __all__ = [
     "log_prob",
     "derivative_tables",
     "contribution",
-    "single_sample",
     "expected_value_by_enumeration",
     "variance_by_enumeration",
     "estimate_gradient",
@@ -201,10 +199,16 @@ def derivative_tables(f: BooleanFunction) -> np.ndarray:
 
     D_i f(x) = (f at x_i=+1 minus f at x_i=-1)/2 equals the partial
     derivative of the multilinear extension; it involves no distribution.
-    Row i is the pass on coordinate i alone writing (hi - lo)/2 to both.
+    Row i writes (hi - lo)/2 to both entries of every pair (lo, hi) of
+    f's table whose indices differ only in bit i.
     """
-    return np.array([_per_coordinate(f.values(), [i], lambda _, lo, hi: (
-        (hi - lo) / 2.0,) * 2) for i in range(f.n)])
+    t = f.values()
+    out = np.empty((f.n, t.size))
+    for i in range(f.n):
+        pairs = t.reshape(-1, 2, 1 << i)
+        row = out[i].reshape(-1, 2, 1 << i)
+        row[:, 0] = row[:, 1] = (pairs[:, 1] - pairs[:, 0]) / 2.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +314,6 @@ def _smoothing_terms(cfg: EstimatorConfig) -> tuple[tuple[float, float], ...]:
 # The cube front end: parts from truth tables, at one row, at the rows a
 # sampler drew, or at every point of the cube.
 
-def _derivative_at(derivs, f, xs: np.ndarray) -> np.ndarray:
-    """(B, n) derivative at the rows xs, from the (n, 2^n) tables derivs,
-    or from f's own derivative tables when derivs is None."""
-    d = derivative_tables(f) if derivs is None else np.asarray(derivs)
-    n = xs.shape[-1]
-    if d.shape != (n, 1 << n):
-        raise ValueError("derivative tables must have shape (%d, %d), got %s"
-                         % (n, 1 << n, d.shape))
-    return d[:, points_to_indices(xs)].T
-
-
 def _cube_contributions(cfg: EstimatorConfig, f: BooleanFunction,
                         dist: ProductDistribution, xs: np.ndarray, rng=None, *,
                         g=None, baseline: float = 0.0, taylor=None,
@@ -340,12 +333,19 @@ def _cube_contributions(cfg: EstimatorConfig, f: BooleanFunction,
         t = MeanTaylor.from_function(f, dist) if taylor is None else taylor
         return f.batch(xs), t.value, t.gradient
 
+    def deriv():
+        d = derivative_tables(f) if derivs is None else np.asarray(derivs)
+        if d.shape != (dist.n, 1 << dist.n):
+            raise ValueError("derivative tables must have shape (%d, %d), got %s"
+                             % (dist.n, 1 << dist.n, d.shape))
+        return d[:, points_to_indices(xs)].T
+
     return _contributions(
         cfg, xs, dist.probs, dist.mu, f=lambda: f.batch(xs),
         g=lambda: g.batch(xs), taylor=first_order, smoothed=lambda rho: (
             noise_exact(g, rho, dist).batch(xs) if exact else _smoothed_mc(
                 g.batch, xs, dist.probs, rho, cfg.t_rho_samples, rng)),
-        deriv=lambda: _derivative_at(derivs, f, xs), baseline=baseline)
+        deriv=deriv, baseline=baseline)
 
 
 def contribution(cfg: EstimatorConfig, f, x: np.ndarray,
@@ -354,35 +354,26 @@ def contribution(cfg: EstimatorConfig, f, x: np.ndarray,
                  derivs=None) -> np.ndarray:
     """The contribution vector of kind cfg.kind at the point x.
 
-    g, baseline, taylor and derivs are the parts `single_sample`
-    documents; f may be None for straight_through when derivs is given.
-    Inner smoothing draws from rng, and is exact without one.  x is
-    checked as `point` checks it, and dist must have f's dimension.
-    """
-    return _cube_contributions(cfg, f, dist, point(x)[None, :], rng,
-                               g=g, baseline=baseline, taylor=taylor,
-                               derivs=derivs)[0]
-
-
-def single_sample(cfg: EstimatorConfig, f: BooleanFunction,
-                  dist: ProductDistribution, rng: np.random.Generator,
-                  g=None, baseline: float = 0.0, taylor=None,
-                  derivs=None) -> np.ndarray:
-    """Draw one x and return its contribution vector under cfg.
-
     The parts, each read only by the kinds that use it:
     - g: the surrogate, a table function, f by default;
     - baseline: a scalar that does not depend on x;
     - taylor: a `MeanTaylor`, f's exact one by default;
     - derivs: (n, 2^n) derivative tables, f's by default
-      (`derivative_tables`).
+      (`derivative_tables`); f may be None for straight_through when
+      derivs is given.
+
+    Inner smoothing draws from rng, and is exact without one.  x is
+    checked as `point` checks it, and dist must have f's dimension.  A
+    drawn point's contribution is contribution(cfg, f, sample(dist, rng),
+    dist, rng, ...): from a fresh `stream(seed)` it is
+    `estimate_gradient`'s with batch 1.
 
     A default is rebuilt on every call, so a per-point loop should build
     taylor and derivs once and pass them in.  On randpoly(10,3,0.5,5), on
     a 2-core Xeon, a `combined` call took 0.206 ms without them and
     0.060 ms with them.
     """
-    return _cube_contributions(cfg, f, dist, sample(dist, rng, size=1), rng,
+    return _cube_contributions(cfg, f, dist, point(x)[None, :], rng,
                                g=g, baseline=baseline, taylor=taylor,
                                derivs=derivs)[0]
 

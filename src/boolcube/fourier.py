@@ -118,6 +118,8 @@ class FourierExpansion:
             if not S.valid_for(n):
                 raise ValueError("subset %s out of range for n=%d" % (S, n))
             vector[S.mask] = c
+        if not np.all(np.isfinite(vector)):
+            raise ValueError("coefficients must be finite")
         vector.flags.writeable = False
         self.n = n
         self.vector = vector
@@ -314,6 +316,8 @@ def expansion_from_text(text: str) -> FourierExpansion:
             c = float(val)
         except ValueError:
             raise ValueError("line %d: bad coefficient %r" % (ln, val))
+        if not np.isfinite(c):
+            raise ValueError("line %d: coefficient %r is not finite" % (ln, val))
         if S in coeffs:
             raise ValueError("line %d: duplicate subset %s" % (ln, S))
         coeffs[S] = c

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import (PROB_FLOOR, ProductDistribution, _check_count, _check_pairing,
-                   _check_width, _per_coordinate, _resampled, point, weights)
+                   _check_width, _per_coordinate, _resampled, correlated_sample,
+                   point, weights)
 from .fourier import (
     BooleanFunction,
     FourierExpansion,
@@ -79,13 +80,13 @@ def noise_exact(f: BooleanFunction, rho: float,
 def noise_mc(f: BooleanFunction, x: np.ndarray, rho: float,
              dist: ProductDistribution, rng: np.random.Generator,
              samples: int = 1) -> float:
-    """Monte Carlo value of (T_rho f)(x): average f over resamplings of x,
-    a point checked as `point` checks it."""
+    """Monte Carlo value of (T_rho f)(x): the mean of f over `samples`
+    `correlated_sample` draws from x, a point checked as `point` checks it."""
     _check_count("samples", samples, 1)
     _check_pairing(dist, f.n)
     x = _check_width(point(x), f.n, "function")
-    xs = np.broadcast_to(x, (samples, dist.n))
-    return float(np.mean(_smoothed_mc(f.batch, xs, dist.probs, rho, 1, rng)))
+    return float(np.mean(f.batch(correlated_sample(x, rho, dist, rng,
+                                                   size=samples))))
 
 
 def _smoothed_mc(g, x: np.ndarray, p: np.ndarray, rho: float, k: int,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cube import _is_integer
+
 __all__ = ["stream"]
 
 
@@ -17,7 +19,11 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """Return an independent Philox generator for (seed, *path).
 
     The same (seed, path) always yields the same draw sequence; distinct
-    paths yield statistically independent streams.
+    paths yield statistically independent streams.  The seed and every
+    path entry must be non-negative integers; nothing is truncated.
     """
-    ss = np.random.SeedSequence([int(seed), *[int(p) for p in path]])
+    if not all(_is_integer(v) and v >= 0 for v in (seed, *path)):
+        raise ValueError("stream seed and path must be non-negative "
+                         "integers, got %r" % ((seed, *path),))
+    ss = np.random.SeedSequence([int(v) for v in (seed, *path)])
     return np.random.Generator(np.random.Philox(ss))

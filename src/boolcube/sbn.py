@@ -31,6 +31,7 @@ the clamped density; away from saturation the two coincide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -94,6 +95,19 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
+def _toy_widths(widths, obs_dim) -> tuple[int, ...]:
+    """The layer widths as ints, refused unless they and obs_dim are
+    integers within the toy range; both sides of the net read them."""
+    if not all(map(_is_integer, (*widths, obs_dim))):
+        raise ValueError("widths and obs_dim must be integers")
+    widths = tuple(int(w) for w in widths)
+    if not 1 <= len(widths) <= 3:
+        raise ValueError("layer count must be 1, 2, or 3")
+    if any(w < 1 or w > 32 for w in widths) or not 1 <= obs_dim <= 4096:
+        raise ValueError("widths out of the supported toy range")
+    return widths
+
+
 class SbnModel:
     """Generative side: prior logits plus affine links downward.
 
@@ -103,12 +117,7 @@ class SbnModel:
 
     def __init__(self, widths: tuple[int, ...], obs_dim: int,
                  rng: np.random.Generator):
-        widths = tuple(int(w) for w in widths)
-        if not 1 <= len(widths) <= 3:
-            raise ValueError("layer count must be 1, 2, or 3")
-        if any(w < 1 or w > 32 for w in widths) or not 1 <= obs_dim <= 4096:
-            raise ValueError("widths out of the supported toy range")
-        self.widths = widths
+        self.widths = widths = _toy_widths(widths, obs_dim)
         self.prior = np.zeros(widths[-1])
         self.links = [Affine(rng, widths[0], obs_dim)]
         for j in range(1, len(widths)):
@@ -121,7 +130,7 @@ class InferenceNet:
 
     def __init__(self, widths: tuple[int, ...], obs_dim: int,
                  rng: np.random.Generator):
-        self.widths = tuple(int(w) for w in widths)
+        self.widths = widths = _toy_widths(widths, obs_dim)
         self.links = [Affine(rng, obs_dim, widths[0])]
         for l in range(1, len(widths)):
             self.links.append(Affine(rng, widths[l - 1], widths[l]))
@@ -151,6 +160,8 @@ class TrainConfig:
     freeze_g: bool = False
 
     def __post_init__(self):
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not (_is_integer(self.steps) and _is_integer(self.minibatch)):
             raise ValueError("steps and minibatch must be integers")
         if self.steps < 1 or self.minibatch < 1:
@@ -616,10 +627,12 @@ def sample_q_logit_gradients(model: SbnModel, qnet: InferenceNet,
                              baselines: SbnBaselines, y: np.ndarray,
                              est: EstimatorConfig, samples: int,
                              seed: int) -> np.ndarray:
-    """(samples, width) single-sample q-logit gradient estimates for one
-    observation, exactly as a training step would compute them."""
-    if len(model.widths) != 1:
-        raise ValueError("probe sampling supports single-layer models")
+    """(samples, widths[0]) single-sample q-logit gradient estimates of
+    layer 0 for one observation, exactly as a training step computes
+    them: at any depth the step runs layer 0 first, on the same inner
+    stream.  Below the top layer the rows keep the step's bias in muprop
+    and combined, whose first-order term holds the layers above at their
+    samples, which depend on layer 0's."""
     y_tiled = np.tile(np.asarray(y, dtype=np.float64), (samples, 1))
     draw = _Draw(model, qnet, baselines, y_tiled,
                  _sample_latents(model, qnet, y_tiled, stream(seed, 1, 0)))
@@ -720,8 +733,17 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             name, shape_s, vals = parts
             if name in out:
                 raise ValueError("line %d: duplicate tensor %s" % (ln, name))
-            shape = tuple(int(d) for d in shape_s.split("x")) if shape_s else ()
-            arr = np.array([float(v) for v in vals.split()] if vals else [])
+            dims = shape_s.split("x") if shape_s else []
+            if not all(d.isdecimal() for d in dims):
+                raise ValueError("line %d: bad shape %r" % (ln, shape_s))
+            shape = tuple(int(d) for d in dims)
+            try:
+                arr = np.array([float(v) for v in vals.split()])
+            except ValueError:
+                raise ValueError("line %d: bad value in tensor %s" % (ln, name))
+            if arr.size != math.prod(shape):
+                raise ValueError("line %d: %d values for shape %r"
+                                 % (ln, arr.size, shape_s))
             out[name] = arr.reshape(shape)
     return out
 

@@ -12,9 +12,11 @@ from boolcube import (
     KINDS,
     PROB_FLOOR,
     EstimatorConfig,
+    InferenceNet,
     MeanTaylor,
     ProbabilityClampWarning,
     ProductDistribution,
+    SbnModel,
     SubsetIndex,
     TrainConfig,
     benchmark_variance,
@@ -45,7 +47,6 @@ from boolcube import (
     rho_bound,
     sample,
     score,
-    single_sample,
     stream,
     transform,
     variance_by_enumeration,
@@ -551,8 +552,6 @@ REFUSALS = [
     ("contribution", "width", lambda: contribution(CFG, F3, X2, D3), WIDTH_D3),
     ("contribution", "value", lambda: contribution(CFG, F3, [1, 0, 1], D3),
      VALUE),
-    ("single_sample", "dimension",
-     lambda: single_sample(CFG, F3, D2, fresh_rng()), PAIR_F),
     ("expected_value_by_enumeration", "dimension",
      lambda: expected_value_by_enumeration(CFG, F3, D2), PAIR_F),
     ("variance_by_enumeration", "dimension",
@@ -576,7 +575,6 @@ def test_shape_rule_refusals(entry, rule, call, message):
 def test_estimator_front_ends_refuse_a_mismatch_with_one_message(kind):
     cfg = EstimatorConfig(kind)
     for call in (lambda: contribution(cfg, F3, X3, D2),
-                 lambda: single_sample(cfg, F3, D2, fresh_rng()),
                  lambda: expected_value_by_enumeration(cfg, F3, D2),
                  lambda: variance_by_enumeration(cfg, F3, D2),
                  lambda: estimate_gradient(cfg, F3, D2, 10, 0),
@@ -667,6 +665,28 @@ SETTINGS = [
     ("hypercontractivity_check-rho-nan",
      lambda: hypercontractivity_check(F3, D3, rho=np.nan),
      "rho must be finite"),
+    ("stream-seed-float", lambda: stream(1.7),
+     "stream seed and path must be non-negative integers, got (1.7,)"),
+    ("stream-seed-text", lambda: stream("3"),
+     "stream seed and path must be non-negative integers, got ('3',)"),
+    ("stream-seed-bool", lambda: stream(True),
+     "stream seed and path must be non-negative integers, got (True,)"),
+    ("stream-path-negative", lambda: stream(1, 2, -3),
+     "stream seed and path must be non-negative integers, got (1, 2, -3)"),
+    ("estimate_gradient-seed-float",
+     lambda: estimate_gradient(CFG, F3, D3, 8, 2.9),
+     "stream seed and path must be non-negative integers, got (2.9,)"),
+    ("TrainConfig-seed-negative", lambda: cfg_train(seed=-1),
+     "seed must be a non-negative integer"),
+    ("TrainConfig-seed-float", lambda: cfg_train(seed=1.5),
+     "seed must be a non-negative integer"),
+    ("SbnModel-width-float", lambda: SbnModel((2.7,), 6, fresh_rng()),
+     "widths and obs_dim must be integers"),
+    ("SbnModel-obs_dim-float", lambda: SbnModel((2,), 6.0, fresh_rng()),
+     "widths and obs_dim must be integers"),
+    ("InferenceNet-width-float",
+     lambda: InferenceNet((4, 2.7), 6, fresh_rng()),
+     "widths and obs_dim must be integers"),
 ]
 
 
@@ -686,3 +706,6 @@ def test_numpy_integer_counts_are_accepted():
     got = estimate_gradient(CFG, F3, D3, np.int64(8), 0).grad
     assert np.array_equal(got, estimate_gradient(CFG, F3, D3, 8, 0).grad)
     assert benchmark_variance(CFG, F3, D3, np.int64(4), 0).trials == 4
+    assert stream(np.int64(5), np.uint8(2)).random() == stream(5, 2).random()
+    assert cfg_train(seed=np.int64(3)).seed == 3
+    assert SbnModel((np.int64(2),), np.int32(6), fresh_rng()).widths == (2,)

@@ -36,12 +36,12 @@ from boolcube import (
     point,
     sample,
     score,
-    single_sample,
     stream,
     transform,
     variance_by_enumeration,
     weights,
 )
+from boolcube.cube import _per_coordinate
 from boolcube.estimators import _ema_last_variance
 from boolcube.operators import discrete_derivative
 
@@ -111,6 +111,18 @@ def test_derivative_tables_dictator_and_majority():
     assert d[0][idx_all_plus] == 0.0
     idx_split = 2  # x = (-1, +1, -1): votes split, coordinate 0 decides
     assert d[0][idx_split] == 1.0
+
+
+def test_derivative_tables_match_the_single_coordinate_pass_bit_for_bit():
+    # row i is the table pass on coordinate i alone writing (hi - lo)/2
+    # to both entries, as derivative_tables was once computed
+    for n in range(1, 17):
+        f = BooleanFunction(n, table=stream(0, 400 + n).normal(size=1 << n))
+        want = np.array([_per_coordinate(f.values(), [i], lambda _, lo, hi: (
+            (hi - lo) / 2.0,) * 2) for i in range(n)])
+        got = derivative_tables(f)
+        assert got.shape == (n, 1 << n) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
 
 
 def test_derivative_tables_match_expansion_derivative():
@@ -205,51 +217,41 @@ def test_straight_through_unbiased_with_exact_derivative():
         assert np.max(np.abs(enum - exact_gradient(f, dist))) < 1e-10
 
 
-def test_per_sample_functions_match_single_sample():
-    # at k = 1 and k = 3, contribution at the point single_sample draws,
-    # with the stream left where that draw leaves it, gives its vector
+def test_contribution_at_a_drawn_point_is_a_one_row_estimate():
+    # at k = 1 and k = 3, contribution at the point sample(dist, rng)
+    # draws, with the stream left where that draw leaves it, is
+    # estimate_gradient's one-row estimate from the same seed
     cases = [(MAJ3, U3),
              (parse_function("randpoly(5,3,0.5,7)").build(),
               ProductDistribution([0.2, 0.35, 0.5, 0.65, 0.8]))]
     for k, (f, dist) in itertools.product((1, 3), cases):
         taylor = MeanTaylor.from_function(f, dist)
         tables = derivative_tables(f)
-        plain = EstimatorConfig("combined", t_rho_samples=k)
-        at_sample = EstimatorConfig("combined", rho=0.5, t_rho_samples=k,
-                                    taylor_at_sample=True)
-        exact = EstimatorConfig("combined", t_rho_samples=k, exact_inner=True)
-        fcv = EstimatorConfig("fourier_cv", rho=0.5, t_rho_samples=k)
-        alt = EstimatorConfig("fourier_cv_alt", rho=0.5, t_rho_samples=k)
-        pairs = [
-            ("reinforce", lambda x, rng: contribution(
-                EstimatorConfig("reinforce"), f, x, dist)),
-            ("reinforce_const_baseline", lambda x, rng: contribution(
-                EstimatorConfig("reinforce_const_baseline"), f, x, dist,
-                baseline=0.0)),
-            ("straight_through", lambda x, rng: contribution(
-                EstimatorConfig("straight_through"), None, x, dist,
-                derivs=tables)),
-            ("muprop", lambda x, rng: contribution(
-                EstimatorConfig("muprop"), f, x, dist, taylor=taylor)),
-            (fcv, lambda x, rng: contribution(fcv, f, x, dist, rng, g=f)),
-            (alt, lambda x, rng: contribution(alt, f, x, dist, rng, g=f)),
-            (plain, lambda x, rng: contribution(
-                plain, f, x, dist, rng, g=f, baseline=0.0, taylor=taylor)),
-            (at_sample, lambda x, rng: contribution(
-                at_sample, f, x, dist, rng, g=f, baseline=0.0, taylor=taylor,
-                derivs=tables)),
-            # exact smoothing draws nothing, so any other stream will do
-            (exact, lambda x, rng: contribution(
-                exact, f, x, dist, stream(99), g=f, baseline=0.0,
-                taylor=taylor)),
+        runs = [
+            (EstimatorConfig("reinforce"), f, {}),
+            (EstimatorConfig("reinforce_const_baseline"), f,
+             {"baseline": 0.0}),
+            (EstimatorConfig("straight_through"), None, {"derivs": tables}),
+            (EstimatorConfig("muprop"), f, {"taylor": taylor}),
+            (EstimatorConfig("fourier_cv", rho=0.5, t_rho_samples=k), f,
+             {"g": f}),
+            (EstimatorConfig("fourier_cv_alt", rho=0.5, t_rho_samples=k), f,
+             {"g": f}),
+            (EstimatorConfig("combined", t_rho_samples=k), f,
+             {"g": f, "baseline": 0.0, "taylor": taylor}),
+            (EstimatorConfig("combined", rho=0.5, t_rho_samples=k,
+                             taylor_at_sample=True), f,
+             {"g": f, "baseline": 0.0, "taylor": taylor, "derivs": tables}),
+            (EstimatorConfig("combined", t_rho_samples=k, exact_inner=True),
+             f, {"g": f, "baseline": 0.0, "taylor": taylor}),
         ]
-        for cfg, one in pairs:
-            cfg = EstimatorConfig(cfg) if isinstance(cfg, str) else cfg
+        for cfg, fn, parts in runs:
             for s in range(20):
                 rng = stream(s)
-                got = one(sample(dist, rng, size=1)[0], rng)
-                want = single_sample(cfg, f, dist, stream(s))
-                assert np.max(np.abs(got - want)) < 1e-12, (cfg.label(), s)
+                got = contribution(cfg, fn, sample(dist, rng), dist, rng,
+                                   **parts)
+                want = estimate_gradient(cfg, fn, dist, 1, s, **parts).grad
+                assert np.array_equal(got, want), (cfg.label(), s)
 
 
 def test_muprop_hand_example():
@@ -278,7 +280,8 @@ def test_muprop_zero_variance_on_degree_one():
     cfg = EstimatorConfig("muprop")
     dist = ProductDistribution([0.3, 0.5, 0.8])
     assert np.max(np.abs(variance_by_enumeration(cfg, f, dist))) < 1e-12
-    out = single_sample(cfg, f, dist, stream(9))
+    rng = stream(9)
+    out = contribution(cfg, f, sample(dist, rng), dist, rng)
     assert np.max(np.abs(out - exact_gradient(f, dist))) < 1e-12
 
 
@@ -647,13 +650,6 @@ def test_import_and_bench_load_no_scipy(tmp_path):
 
 # ---------------------------------------------------------------------------
 # Sampling front ends.
-
-def test_single_sample_matches_manual_reinforce():
-    cfg = EstimatorConfig("reinforce")
-    out = single_sample(cfg, MAJ3, U3, stream(24))
-    x = sample(U3, stream(24), size=1)[0]
-    assert np.array_equal(out, contribution(cfg, MAJ3, x, U3))
-
 
 def test_estimate_gradient_concentrates():
     cfg = EstimatorConfig("muprop")

@@ -19,7 +19,8 @@ REEXPORTED = ("cube", "estimators", "fourier", "funcspec", "operators",
 
 # The per-sample functions `contribution` replaced.
 REMOVED = ("reinforce", "reinforce_const_baseline", "straight_through",
-           "muprop", "fourier_cv", "fourier_cv_alt", "combined")
+           "muprop", "fourier_cv", "fourier_cv_alt", "combined",
+           "single_sample")
 
 
 def modules():

@@ -253,6 +253,12 @@ def test_expansion_text_without_header_takes_n_from_its_indices():
     (lambda: expansion_from_text("0\tx\n"), "line 1: bad coefficient 'x'"),
     (lambda: expansion_from_text("0\t1.0\n0\t2.0\n"),
      "line 2: duplicate subset {0}"),
+    (lambda: FourierExpansion(2, {SubsetIndex.of([1]): np.nan}),
+     "coefficients must be finite"),
+    (lambda: expansion_from_text("# n=2\n0\t1.0\n-\tnan\n"),
+     "line 3: coefficient 'nan' is not finite"),
+    (lambda: expansion_from_text("-\t-inf\n"),
+     "line 1: coefficient '-inf' is not finite"),
 ])
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError) as err:

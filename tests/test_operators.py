@@ -8,6 +8,7 @@ from boolcube import (
     FourierExpansion,
     ProductDistribution,
     SubsetIndex,
+    correlated_sample,
     discrete_derivative,
     enumerate_points,
     exact_gradient,
@@ -21,6 +22,7 @@ from boolcube import (
     numeric_gradient,
     parse_function,
     rho_bound,
+    sample,
     stream,
     transform,
 )
@@ -212,6 +214,21 @@ def test_noise_mc_examples():
     want = noise_expansion(e, 0.5).evaluate(x, d)
     assert abs(want - 0.6875) < 1e-12
     assert abs(est - want) < 0.02
+
+
+def test_noise_mc_is_the_mean_of_f_over_correlated_sample():
+    r = stream(13, 9)
+    for case in range(40):
+        n = int(r.integers(1, 9))
+        f = BooleanFunction(n, table=r.normal(size=1 << n))
+        d = random_dist(n, r)
+        x = sample(d, r)
+        for rho in (0.0, 0.3, 1.0):
+            samples = int(r.integers(1, 60))
+            got = noise_mc(f, x, rho, d, stream(13, 10, case), samples)
+            rows = correlated_sample(x, rho, d, stream(13, 10, case),
+                                     size=samples)
+            assert got == np.mean(f.batch(rows)), (case, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -233,9 +233,7 @@ def test_oracles_refuse_multi_layer_models():
     for call in (lambda: enumerate_elbo(model, qnet, y),
                  lambda: exact_log_likelihood(model, y),
                  lambda: expected_q_logit_gradient(model, qnet, baselines,
-                                                   y, est),
-                 lambda: sample_q_logit_gradients(model, qnet, baselines, y,
-                                                  est, 8, seed=1)):
+                                                   y, est)):
         with pytest.raises(ValueError, match="single-layer"):
             call()
 
@@ -314,17 +312,16 @@ def test_expected_gradient_matches_library_oracle(kind):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("kind", ["reinforce", "muprop", "combined"])
+@pytest.mark.parametrize("kind", ["reinforce", "muprop", "combined",
+                                  "fourier_cv_alt"])
 def test_sampled_gradients_are_the_training_step_rows(kind):
     # the probe runs the step's own path: a step on the observation
     # tiled `samples` times, with the probe's streams, averages exactly
-    # the probe's rows into its q-logit parameter gradient
+    # the probe's rows into its layer-0 q-logit parameter gradient, the
+    # first one the step tracks, at any depth
     samples = 24
     y = probe_observation()
-    model, qnet, baselines = toy_probe()
     est = EstimatorConfig(kind, rho=0.5)
-    rows = sample_q_logit_gradients(model, qnet, baselines, y, est, samples,
-                                    seed=59)
     y_tiled = np.tile(y, (samples, 1))
     seen = []
 
@@ -333,12 +330,20 @@ def test_sampled_gradients_are_the_training_step_rows(kind):
             seen.append(flat.copy())
             return super()._track(li, flat)
 
-    trainer = Recording(model, qnet, baselines,
-                        TrainConfig(estimator=est, steps=1, seed=0))
-    trainer.step(y_tiled, stream(59, 1, 0), stream(59, 2, 0))
-    want = np.concatenate([(rows.T @ y_tiled / samples).ravel(),
-                           rows.sum(axis=0) / samples])
-    assert np.array_equal(seen[0], want)
+    for widths in ((4,), (4, 3)):
+        model, qnet, baselines = build_toy(widths, 6, seed=17,
+                                           baseline_hidden=8, g_hidden=8)
+        rows = sample_q_logit_gradients(model, qnet, baselines, y, est,
+                                        samples, seed=59)
+        assert rows.shape == (samples, 4)
+        seen.clear()
+        trainer = Recording(model, qnet, baselines,
+                            TrainConfig(estimator=est, steps=1, seed=0))
+        trainer.step(y_tiled, stream(59, 1, 0), stream(59, 2, 0))
+        want = np.concatenate([(rows.T @ y_tiled / samples).ravel(),
+                               rows.sum(axis=0) / samples])
+        assert len(seen) == len(widths)
+        assert np.array_equal(seen[0], want), widths
 
 
 def test_sampled_gradients_deterministic():
@@ -606,6 +611,25 @@ def test_checkpoint_refuses_a_repeated_tensor(tmp_path):
     with pytest.raises(ValueError, match="line %d: duplicate tensor "
                        "model.prior" % (len(named) + 1)):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("model.prior\t-1\t1.0", "line 2: bad shape '-1'"),
+    ("model.prior\t-1x2\t1.0 2.0 3.0 4.0", "line 2: bad shape '-1x2'"),
+    ("model.prior\t2xa\t1.0 2.0", "line 2: bad shape '2xa'"),
+    ("model.prior\t2\t1.0 x", "line 2: bad value in tensor model.prior"),
+    ("model.prior\t2x2\t1.0 2.0 3.0", "line 2: 3 values for shape '2x2'"),
+    ("model.prior\t\t", "line 2: 0 values for shape ''"),
+], ids=["shape-negative", "shape-negative-2d", "shape-token", "value",
+        "count", "count-scalar"])
+def test_checkpoint_refuses_a_malformed_line_by_number(tmp_path, line,
+                                                       message):
+    path = str(tmp_path / "ckpt.txt")
+    with open(path, "w") as fh:
+        fh.write("model.link0.b\t3\t0.5 -1.0 2.0\n%s\n" % line)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == message
 
 
 def test_build_toy_deterministic_and_decoupled():
