@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .cube import ProductDistribution, enumerate_points, weights
+from .cube import ProductDistribution, enumerate_points, sample, weights
 from .estimators import (
     KINDS,
     EstimatorConfig,
@@ -519,7 +519,7 @@ def _selftest_checks(seed: int):
     for _ in range(20):
         n = int(rng.integers(1, 6))
         dist = _random_dist(n, rng)
-        x = np.where(rng.random(n) < dist.probs, 1, -1).astype(np.int8)
+        x = sample(dist, rng)
         sc = score(x, dist)
         phi_form = 2.0 * (x - dist.mu) / dist.sigma ** 2
         worst = max(worst, float(np.abs(sc - phi_form).max()))

@@ -741,6 +741,9 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
                 arr = np.array([float(v) for v in vals.split()])
             except ValueError:
                 raise ValueError("line %d: bad value in tensor %s" % (ln, name))
+            if not np.isfinite(arr).all():
+                raise ValueError("line %d: non-finite value in tensor %s"
+                                 % (ln, name))
             if arr.size != math.prod(shape):
                 raise ValueError("line %d: %d values for shape %r"
                                  % (ln, arr.size, shape_s))

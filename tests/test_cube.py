@@ -52,7 +52,7 @@ from boolcube import (
     variance_by_enumeration,
     weights,
 )
-from boolcube.cube import _per_coordinate
+from boolcube.cube import _per_coordinate, _resampled
 from boolcube.nets import MLP
 from boolcube.operators import _smoothed_mc
 
@@ -304,6 +304,29 @@ def test_sample_determinism_and_dtype():
     assert np.all(np.abs(a) == 1)
 
 
+def sample_by_hand(p, size, rng):
+    """The sampler written out: one uniform per coordinate, +1 below p."""
+    shape = np.shape(p) if size is None else (size, np.size(p))
+    return np.where(rng.random(shape) < p, 1, -1).astype(np.int8)
+
+
+@pytest.mark.parametrize("size", [None, 1, 7, 1000])
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_sample_matches_the_hand_written_draw(n, size):
+    # bit for bit, dtype included, and two draws in a row leave the
+    # stream where the reference leaves it; p at both clamp floors too
+    r = stream(6, n)
+    for probs in (r.uniform(0.1, 0.9, n), np.full(n, PROB_FLOOR),
+                  np.full(n, 1.0 - PROB_FLOOR),
+                  np.resize([PROB_FLOOR, 1.0 - PROB_FLOOR, 0.5], n)):
+        d = ProductDistribution(probs)
+        rng, ref = stream(6, 1, n), stream(6, 1, n)
+        for _ in range(2):
+            got = sample(d, rng, size=size)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, sample_by_hand(d.probs, size, ref))
+
+
 def test_sample_empirical_means():
     d = ProductDistribution.uniform(2)
     xs = sample(d, stream(7, 2), size=100000)
@@ -416,6 +439,27 @@ def test_resampler_draws_keep_then_fresh(rho, dtype):
                     want += on_rows(x)
                 got = _smoothed_mc(g, xs, p, rho, k, stream(5, 11))
                 assert np.array_equal(got, want / k), (k, p.ndim)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+def test_resampled_selects_from_a_read_only_view_and_per_row_p(rho):
+    # the select writes only into its own fresh draw: a broadcast view of
+    # one point's bits is read as it is, and p may be one row per row
+    rows, n = 40, 5
+    r = stream(5, 13)
+    d = random_dist(n, r)
+    x = index_to_point(19, n)
+    view = np.broadcast_to(x > 0, (rows, n))
+    assert not view.flags.writeable
+    signs = sample(d, r, size=rows)
+    for p in (d.probs, r.uniform(0.1, 0.9, (rows, n))):
+        for bits, ref in ((view, np.broadcast_to(x, (rows, n))),
+                          (signs > 0, signs)):
+            got = _resampled(bits, rho, p, stream(5, 14))
+            assert got.dtype == bool and got.shape == (rows, n)
+            want = resampled_by_hand(ref, rho, p, stream(5, 14))
+            assert np.array_equal(np.where(got, 1, -1), want), np.ndim(p)
+    assert np.array_equal(view, np.broadcast_to(x > 0, (rows, n)))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])

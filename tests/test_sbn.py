@@ -618,10 +618,16 @@ def test_checkpoint_refuses_a_repeated_tensor(tmp_path):
     ("model.prior\t-1x2\t1.0 2.0 3.0 4.0", "line 2: bad shape '-1x2'"),
     ("model.prior\t2xa\t1.0 2.0", "line 2: bad shape '2xa'"),
     ("model.prior\t2\t1.0 x", "line 2: bad value in tensor model.prior"),
+    ("model.prior\t2\tnan 1.0",
+     "line 2: non-finite value in tensor model.prior"),
+    ("model.prior\t2\t1.0 inf",
+     "line 2: non-finite value in tensor model.prior"),
+    ("model.prior\t2\t-inf 1.0",
+     "line 2: non-finite value in tensor model.prior"),
     ("model.prior\t2x2\t1.0 2.0 3.0", "line 2: 3 values for shape '2x2'"),
     ("model.prior\t\t", "line 2: 0 values for shape ''"),
 ], ids=["shape-negative", "shape-negative-2d", "shape-token", "value",
-        "count", "count-scalar"])
+        "value-nan", "value-inf", "value-minus-inf", "count", "count-scalar"])
 def test_checkpoint_refuses_a_malformed_line_by_number(tmp_path, line,
                                                        message):
     path = str(tmp_path / "ckpt.txt")
