@@ -264,35 +264,34 @@ def enumerate_points(n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int8)
 
 
-def _per_coordinate(table: np.ndarray, coords: Iterable[int], step) -> np.ndarray:
-    """A float64 copy of table in which, for each i of coords in turn,
-    every pair (lo, hi) of entries whose indices differ only in bit i is
-    replaced by step(i, lo, hi); lo and hi are arrays over all the pairs.
+def _per_coordinate(table: np.ndarray, step, reverse: bool = False) -> np.ndarray:
+    """A float64 copy of table in which, for each coordinate i in turn
+    (0 to n-1, or n-1 to 0 if reverse), every pair (lo, hi) of entries
+    whose indices differ only in bit i is replaced by the pair step
+    writes: step(i, lo, hi, out_lo, out_hi) fills out_lo and out_hi,
+    arrays over all the pairs, and returns nothing.
 
-    Every pass reads runs of at least 2^h consecutive entries, h = n // 2:
-    a pass on a coordinate i < h would otherwise run each ufunc over
-    2^(n-i-1) inner loops of 2^i entries.  Such passes work on the table
-    transposed as a (2^(n-h), 2^h) matrix, where coordinate i is bit
-    i + n - h; the layout swaps only when the next coordinate lies on the
-    other side of h, and swaps back at the end.  Each pass does the same
-    elementwise arithmetic on the same pairs in either layout."""
-    work = np.array(table, dtype=np.float64)
-    n = work.size.bit_length() - 1
-    h = n // 2
-    low = False
-    for i in coords:
-        if (i < h) != low:
-            work = _transposed(work, 1 << (h if low else n - h))
-            low = not low
-        pairs = work.reshape(-1, 2, 1 << (i + n - h if low else i))
-        pairs[:, 0], pairs[:, 1] = step(i, pairs[:, 0], pairs[:, 1])
-    return _transposed(work, 1 << h) if low else work
-
-
-def _transposed(work: np.ndarray, rows: int) -> np.ndarray:
-    """The flat table work read as a matrix of `rows` rows, transposed
-    into a new flat C-ordered table."""
-    return np.ascontiguousarray(work.reshape(rows, -1).T).ravel()
+    The geometry is constant (Pease's FFT): every pass reads and writes
+    at one fixed stride, so no pass transposes the table.  A forward
+    pass reads the pairs (x[0::2], x[1::2]) and writes the halves of a
+    second buffer, which rotates the index bits right by one, so the
+    next coordinate is bit 0 of the next pass.  A reverse pass reads the
+    halves and writes (y[0::2], y[1::2]).  After n passes the table is
+    back in its own layout.  Each pass does the same elementwise
+    arithmetic on the same pairs as a pass in the table's own layout.
+    out_lo and out_hi never overlap lo or hi, so a step may use them as
+    scratch."""
+    x = np.array(table, dtype=np.float64)
+    y = np.empty_like(x)
+    half = x.size // 2
+    n = half.bit_length()
+    for i in range(n - 1, -1, -1) if reverse else range(n):
+        if reverse:
+            step(i, x[:half], x[half:], y[0::2], y[1::2])
+        else:
+            step(i, x[0::2], x[1::2], y[:half], y[half:])
+        x, y = y, x
+    return x
 
 
 def weights(dist: ProductDistribution) -> np.ndarray:

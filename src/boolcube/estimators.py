@@ -41,7 +41,7 @@ from .cube import (
     sample,
     weights,
 )
-from .fourier import BooleanFunction, FourierExpansion, transform
+from .fourier import BooleanFunction, FourierExpansion, _degree_one
 from .operators import _smoothed_mc, noise_exact
 from .rng import stream
 
@@ -158,7 +158,10 @@ class MeanTaylor:
     @classmethod
     def from_function(cls, f: BooleanFunction,
                       dist: ProductDistribution) -> "MeanTaylor":
-        return cls.exact(transform(f, dist), dist)
+        """As `exact` of f's expansion, from its degree <= 1 coefficients
+        alone."""
+        c = _degree_one(f, dist)
+        return cls(value=c[0], gradient=c[1:] / dist.sigma)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 The basis is phi_S(x) = prod_{i in S} (x_i - mu_i)/sigma_i, orthonormal
 under the given product distribution.  `transform` computes all 2^n
-coefficients by a butterfly pass per coordinate in O(n 2^n); the inverse
-runs the same recursion backwards.  An expansion is one dense vector of
+coefficients by a butterfly pass per coordinate in O(n 2^n), every pass
+at one fixed stride (`cube._per_coordinate`); the inverse runs the same
+recursion backwards.  The coefficients of degree at most one, which the
+gradient identity reads, take O(2^n) work on their own (`_degree_one`),
+bit for bit equal to transform's.  An expansion is one dense vector of
 2^n coefficients indexed by subset bitmask, the same index convention as
 truth tables, so every exact operation is an array pass.
 """
@@ -188,6 +191,21 @@ class FourierExpansion:
         return "FourierExpansion(n=%d, %d nonzero)" % (self.n, len(self))
 
 
+def _transform_step(dist: ProductDistribution):
+    """transform's pass on coordinate i, for `_per_coordinate`: each pair
+    (lo, hi) becomes its mean part (1-p)*lo + p*hi and its phi part
+    sqrt(p(1-p))*(hi - lo), written into the output views."""
+    p, q, s = dist.probs, 1.0 - dist.probs, dist.sigma / 2.0
+
+    def step(i, lo, hi, out_lo, out_hi):
+        np.multiply(lo, q[i], out=out_lo)
+        np.multiply(hi, p[i], out=out_hi)
+        out_lo += out_hi
+        np.subtract(hi, lo, out=out_hi)
+        out_hi *= s[i]
+    return step
+
+
 def transform(f: BooleanFunction, dist: ProductDistribution) -> FourierExpansion:
     """All coefficients of f under `dist`, by a per-coordinate butterfly.
 
@@ -196,11 +214,34 @@ def transform(f: BooleanFunction, dist: ProductDistribution) -> FourierExpansion
     n passes, entry m holds the coefficient of the subset with bitmask m.
     """
     _check_pairing(dist, f.n)
-    p = dist.probs
-    work = _per_coordinate(f.values(), range(f.n), lambda i, lo, hi: (
-        (1.0 - p[i]) * lo + p[i] * hi, dist.sigma[i] / 2.0 * (hi - lo)))
+    work = _per_coordinate(f.values(), _transform_step(dist))
     work[np.abs(work) <= COEFF_DROP * np.abs(f.values()).max()] = 0.0
     return FourierExpansion._of_vector(work)
+
+
+def _degree_one(f: BooleanFunction, dist: ProductDistribution) -> np.ndarray:
+    """[c_{}, c_{0}, ..., c_{n-1}]: transform's entries 0 and 1 << i, bit
+    for bit, in O(2^n) work instead of O(n 2^n).
+
+    A stack of rows holds the partial sums these entries read: row 0 the
+    mean part of every coordinate passed so far, row r > 0 the phi part
+    of coordinate r - 1 and the mean part of the others.  Pass i runs
+    transform's step on every row's (even, odd) pairs and keeps each
+    row's mean part, plus row 0's phi part as a new row.  A pass writes
+    r * m entries for r rows of m, never more than 2^n, so two buffers
+    of 2^n serve all passes in turn."""
+    _check_pairing(dist, f.n)
+    step = _transform_step(dist)
+    bufs = np.empty((2, 1 << f.n))
+    rows = f.values().reshape(1, -1)
+    for i in range(f.n):
+        r, m = rows.shape
+        out = bufs[i % 2, :r * m].reshape(2 * r, m // 2)
+        step(i, rows[:, 0::2], rows[:, 1::2], out[:r], out[r:])
+        rows = out[:r + 1]
+    c = rows.ravel().copy()
+    c[np.abs(c) <= COEFF_DROP * np.abs(f.values()).max()] = 0.0
+    return c
 
 
 def inverse_transform(e: FourierExpansion, dist: ProductDistribution) -> BooleanFunction:
@@ -210,9 +251,14 @@ def inverse_transform(e: FourierExpansion, dist: ProductDistribution) -> Boolean
     # hi = a + phi_i(+1) b from the pair (a, b)
     p = dist.probs
     phi_lo, phi_hi = -np.sqrt(p / (1.0 - p)), np.sqrt((1.0 - p) / p)
-    return BooleanFunction(e.n, table=_per_coordinate(
-        e.vector, range(e.n - 1, -1, -1),
-        lambda i, a, b: (a + phi_lo[i] * b, a + phi_hi[i] * b)))
+
+    def step(i, a, b, out_lo, out_hi):
+        np.multiply(b, phi_lo[i], out=out_lo)
+        out_lo += a
+        np.multiply(b, phi_hi[i], out=out_hi)
+        out_hi += a
+    return BooleanFunction(e.n, table=_per_coordinate(e.vector, step,
+                                                      reverse=True))
 
 
 def _lower_slots(v: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
@@ -280,9 +326,11 @@ def expansion_to_text(e: FourierExpansion) -> str:
 
 
 def expansion_from_text(text: str) -> FourierExpansion:
-    """Parse the format written by expansion_to_text."""
+    """Parse the format written by expansion_to_text.  At most one
+    `# n=` header; every subset must lie within its dimension."""
     n = None
     coeffs: dict[SubsetIndex, float] = {}
+    lines: dict[SubsetIndex, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -290,6 +338,9 @@ def expansion_from_text(text: str) -> FourierExpansion:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("n="):
+                if n is not None:
+                    raise ValueError("line %d: repeated dimension header %r"
+                                     % (ln, raw))
                 try:
                     n = int(body[2:])
                 except ValueError:
@@ -321,7 +372,13 @@ def expansion_from_text(text: str) -> FourierExpansion:
         if S in coeffs:
             raise ValueError("line %d: duplicate subset %s" % (ln, S))
         coeffs[S] = c
+        lines[S] = ln
     if n is None:
         top = max((S.members[-1] for S in coeffs if S.mask), default=-1)
         n = top + 1 if top >= 0 else 1
+    n = _check_dimension(n)
+    for S, ln in lines.items():
+        if not S.valid_for(n):
+            raise ValueError("line %d: subset %s out of range for n=%d"
+                             % (ln, S, n))
     return FourierExpansion(n, coeffs)

@@ -17,10 +17,10 @@ from .cube import (PROB_FLOOR, ProductDistribution, _check_count, _check_pairing
 from .fourier import (
     BooleanFunction,
     FourierExpansion,
+    _degree_one,
     _lower_slots,
     _popcounts,
     norm,
-    transform,
 )
 
 __all__ = [
@@ -69,12 +69,14 @@ def noise_exact(f: BooleanFunction, rho: float,
     _check_pairing(dist, f.n)
     p = dist.probs
 
-    def step(i, lo, hi):
-        d = hi - lo
-        return (lo + ((1.0 - rho) * p[i]) * d,
-                hi - ((1.0 - rho) * (1.0 - p[i])) * d)
+    def step(i, lo, hi, out_lo, out_hi):
+        np.subtract(hi, lo, out=out_hi)
+        np.multiply(out_hi, (1.0 - rho) * p[i], out=out_lo)
+        out_lo += lo
+        out_hi *= (1.0 - rho) * (1.0 - p[i])
+        np.subtract(hi, out_hi, out=out_hi)
 
-    return BooleanFunction(f.n, table=_per_coordinate(f.values(), range(f.n), step))
+    return BooleanFunction(f.n, table=_per_coordinate(f.values(), step))
 
 
 def noise_mc(f: BooleanFunction, x: np.ndarray, rho: float,
@@ -113,10 +115,10 @@ def expectation(f: BooleanFunction, dist: ProductDistribution) -> float:
 def exact_gradient(f: BooleanFunction, dist: ProductDistribution) -> np.ndarray:
     """d E_p[f] / d p_i for every coordinate, from degree-one coefficients.
 
-    Equals (2 / sigma_i) * fhat({i}); one transform serves all coordinates.
+    Equals (2 / sigma_i) * fhat({i}); one O(2^n) pass reads fhat({i}) for
+    every coordinate without the rest of the spectrum.
     """
-    singletons = transform(f, dist).vector[1 << np.arange(dist.n)]
-    return 2.0 / dist.sigma * singletons
+    return 2.0 / dist.sigma * _degree_one(f, dist)[1:]
 
 
 def numeric_gradient(f: BooleanFunction, dist: ProductDistribution,

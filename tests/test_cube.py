@@ -11,6 +11,7 @@ from scipy.stats import chi2_contingency
 from boolcube import (
     KINDS,
     PROB_FLOOR,
+    BooleanFunction,
     EstimatorConfig,
     InferenceNet,
     MeanTaylor,
@@ -53,6 +54,7 @@ from boolcube import (
     weights,
 )
 from boolcube.cube import _per_coordinate, _resampled
+from boolcube.fourier import _degree_one
 from boolcube.nets import MLP
 from boolcube.operators import _smoothed_mc
 
@@ -167,7 +169,8 @@ def test_weights_match_per_point_products():
 
 
 def per_coordinate_by_hand(table, coords, step):
-    """The pass in the table's own layout: coordinate i is bit i."""
+    """The pass in the table's own layout: coordinate i is bit i, and
+    step returns the new pair."""
     work = np.array(table, dtype=np.float64)
     for i in coords:
         pairs = work.reshape(-1, 2, 1 << i)
@@ -182,16 +185,15 @@ def uneven_step(i, lo, hi):
             (lo - hi) / (1.0 + hi * hi) - 0.5)
 
 
-def crossing_order(n, rng):
-    """Six shuffled runs of coordinates, drawn with repeats, alternately
-    below n // 2 and at or above it (one side only when n = 1)."""
-    h = n // 2
-    sides = [s for s in (np.arange(h), np.arange(h, n)) if s.size]
-    order = []
-    for k in range(6):
-        side = sides[k % len(sides)]
-        order += [int(i) for i in rng.choice(side, size=rng.integers(1, 4))]
-    return order
+def writing(step):
+    """A step returning its pair as one writing into the output views,
+    which must not overlap its inputs."""
+    def into(i, lo, hi, out_lo, out_hi):
+        for out in (out_lo, out_hi):
+            assert not np.shares_memory(out, lo)
+            assert not np.shares_memory(out, hi)
+        out_lo[...], out_hi[...] = step(i, lo, hi)
+    return into
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -199,16 +201,92 @@ def test_per_coordinate_matches_the_plain_loop_bit_for_bit(n):
     rng = stream(0, 300 + n)
     table = rng.normal(size=1 << n)
     before = table.copy()
-    orders = [list(range(n)), list(range(n - 1, -1, -1)),
-              crossing_order(n, rng)] + [[i] for i in range(n)]
-    for coords in orders:
-        got = _per_coordinate(table, coords, uneven_step)
+    for reverse, coords in ((False, range(n)), (True, range(n - 1, -1, -1))):
+        got = _per_coordinate(table, writing(uneven_step), reverse)
         want = per_coordinate_by_hand(table, coords, uneven_step)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), coords
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), reverse
         assert got.dtype == np.float64 and got.shape == (1 << n,)
         assert got.flags.c_contiguous and got.flags.writeable
         assert not np.shares_memory(got, table)
     assert np.array_equal(table.view(np.int64), before.view(np.int64))
+
+
+def butterfly_tables(n, dist, rng):
+    """Tables that stress the butterfly's rounding and its drop rule: a
+    normal draw, its rounding to quarters, a huge scale, a constant, and
+    the variate q - T_0.5 q / 0.5 of the rounded table, whose degree-one
+    coefficients come out as rounding residue the drop rule zeroes, also
+    at scale 1e-15."""
+    t = rng.normal(size=1 << n)
+    q = np.round(4.0 * t) / 4.0
+    v = q - noise_exact(BooleanFunction(n, table=q), 0.5, dist).values() / 0.5
+    return [t, q, 1e8 * t, np.full(1 << n, 0.75), v, 1e-15 * v]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 11, 16])
+def test_butterfly_operators_match_their_old_arithmetic_bit_for_bit(n):
+    # transform, inverse_transform and noise_exact against the pass in
+    # the table's own layout, each with the pair arithmetic it had as a
+    # step returning its pair
+    rng = stream(0, 350 + n)
+    cases = [(dist, t)
+             for dist in (ProductDistribution(rng.uniform(0.02, 0.98, n)),
+                          ProductDistribution(np.full(n, PROB_FLOOR)))
+             for t in butterfly_tables(n, dist, rng)]
+    for dist, t in cases:
+        f = BooleanFunction(n, table=t)
+        p, sigma = dist.probs, dist.sigma
+        want = per_coordinate_by_hand(t, range(n), lambda i, lo, hi: (
+            (1.0 - p[i]) * lo + p[i] * hi, sigma[i] / 2.0 * (hi - lo)))
+        want[np.abs(want) <= 1e-14 * np.abs(t).max()] = 0.0
+        e = transform(f, dist)
+        assert np.array_equal(e.vector.view(np.int64), want.view(np.int64))
+
+        phi_lo, phi_hi = -np.sqrt(p / (1.0 - p)), np.sqrt((1.0 - p) / p)
+        want = per_coordinate_by_hand(e.vector, range(n - 1, -1, -1),
+                                      lambda i, a, b: (a + phi_lo[i] * b,
+                                                       a + phi_hi[i] * b))
+        got = inverse_transform(e, dist).values()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+        for rho in (0.0, 0.6, 1.0, 1.3, -0.4):
+            want = per_coordinate_by_hand(t, range(n), lambda i, lo, hi: (
+                lo + ((1.0 - rho) * p[i]) * (hi - lo),
+                hi - ((1.0 - rho) * (1.0 - p[i])) * (hi - lo)))
+            got = noise_exact(f, rho, dist).values()
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), rho
+
+
+def test_degree_one_equals_the_transform_entries_bit_for_bit():
+    rng = stream(0, 370)
+    for n in range(1, 17):
+        dist = ProductDistribution(rng.uniform(0.02, 0.98, n))
+        slots = np.concatenate([[0], 1 << np.arange(n)])
+        for t in butterfly_tables(n, dist, rng):
+            f = BooleanFunction(n, table=t)
+            want = transform(f, dist).vector[slots]
+            got = _degree_one(f, dist)
+            assert got.shape == (n + 1,) and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+
+def test_degree_one_callers_equal_the_transform_route_bit_for_bit():
+    # exact_gradient and MeanTaylor.from_function read the degree <= 1
+    # coefficients from _degree_one; both equal the full spectrum's route
+    rng = stream(0, 371)
+    for n in (1, 2, 5, 10, 16):
+        dist = ProductDistribution(rng.uniform(0.02, 0.98, n))
+        for t in butterfly_tables(n, dist, rng):
+            f = BooleanFunction(n, table=t)
+            e = transform(f, dist)
+            want = 2.0 / dist.sigma * e.vector[1 << np.arange(n)]
+            got = exact_gradient(f, dist)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            want, got = MeanTaylor.exact(e, dist), MeanTaylor.from_function(f, dist)
+            assert np.float64(got.value).view(np.int64) == \
+                np.float64(want.value).view(np.int64)
+            assert np.array_equal(got.gradient.view(np.int64),
+                                  want.gradient.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from boolcube import (
     variance_by_enumeration,
     weights,
 )
-from boolcube.cube import _per_coordinate
 from boolcube.estimators import _ema_last_variance
 from boolcube.operators import discrete_derivative
 
@@ -115,11 +114,14 @@ def test_derivative_tables_dictator_and_majority():
 
 def test_derivative_tables_match_the_single_coordinate_pass_bit_for_bit():
     # row i is the table pass on coordinate i alone writing (hi - lo)/2
-    # to both entries, as derivative_tables was once computed
+    # to both entries, as derivative_tables was once computed; here each
+    # entry m reads its pair by index in the table's own layout, where
+    # coordinate i is bit i
     for n in range(1, 17):
         f = BooleanFunction(n, table=stream(0, 400 + n).normal(size=1 << n))
-        want = np.array([_per_coordinate(f.values(), [i], lambda _, lo, hi: (
-            (hi - lo) / 2.0,) * 2) for i in range(n)])
+        t, m = f.values(), np.arange(1 << n)
+        want = np.array([(t[m | 1 << i] - t[m & ~(1 << i)]) / 2.0
+                         for i in range(n)])
         got = derivative_tables(f)
         assert got.shape == (n, 1 << n) and got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), n

@@ -245,6 +245,12 @@ def test_expansion_text_without_header_takes_n_from_its_indices():
      "distribution dimension 2 != expansion dimension 3"),
     (lambda: expansion_from_text("# n=x\n"),
      "line 1: bad dimension header '# n=x'"),
+    (lambda: expansion_from_text("# n=3\n# n=5\n0\t1.0\n"),
+     "line 2: repeated dimension header '# n=5'"),
+    (lambda: expansion_from_text("# n=3\n-\t1.0\n0,5\t1.0\n"),
+     "line 3: subset {0,5} out of range for n=3"),
+    (lambda: expansion_from_text("0,5\t1.0\n# n=3\n"),
+     "line 1: subset {0,5} out of range for n=3"),
     (lambda: expansion_from_text("-\t1.0\n0\t1.0\textra\n"),
      "line 2: expected `indices<TAB>coefficient`"),
     (lambda: expansion_from_text("0,a\t1.0\n"), "line 1: bad index list '0,a'"),
