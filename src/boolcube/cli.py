@@ -25,7 +25,6 @@ from .estimators import (
     EstimatorConfig,
     benchmark_variance,
     check_trials,
-    ema_mean_and_variance,
     expected_value_by_enumeration,
     log_prob,
     score,
@@ -185,7 +184,6 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "p": ("0.5", _probs_text),
         "estimators": (["reinforce", "fourier_cv"], _list_of(_string)),
         **_ESTIMATOR,
-        "decay": (EstimatorConfig.baseline_decay, _float_in()),
         "baseline": (0.0, _float_in()),
         "exact_inner": (EstimatorConfig.exact_inner, _bool),
         "taylor_at_sample": (EstimatorConfig.taylor_at_sample, _bool),
@@ -315,12 +313,10 @@ def _parse_spec(text: str) -> FunctionSpec:
         raise ConfigError("function: %s" % e)
 
 
-def _estimator(cfg: dict, kind: str, decay: float,
-               **flags) -> EstimatorConfig:
+def _estimator(cfg: dict, kind: str, **flags) -> EstimatorConfig:
     """The EstimatorConfig of `kind` from cfg's shared estimator keys."""
     return EstimatorConfig(kind=kind, rho=cfg["rho"], alpha=cfg["alpha"],
-                           beta=cfg["beta"], t_rho_samples=cfg["k"],
-                           baseline_decay=decay, **flags)
+                           beta=cfg["beta"], t_rho_samples=cfg["k"], **flags)
 
 
 def _write(out_dir: str, name: str, content: str) -> str:
@@ -390,8 +386,7 @@ def _run_bench(cfg: dict) -> int:
     spec = _parse_spec(cfg["function"])
     dist = ProductDistribution(_probs_for(cfg["p"], spec.n))
     try:
-        ests = [_estimator(cfg, kind, cfg["decay"],
-                           exact_inner=cfg["exact_inner"],
+        ests = [_estimator(cfg, kind, exact_inner=cfg["exact_inner"],
                            taylor_at_sample=cfg["taylor_at_sample"])
                 for kind in cfg["estimators"]]
         check_trials(cfg["trials"])
@@ -442,7 +437,8 @@ def _run_hyper(cfg: dict) -> int:
 
 def _run_train(cfg: dict) -> int:
     try:
-        est = _estimator(cfg, cfg["estimator"], cfg["variance_decay"])
+        est = _estimator(cfg, cfg["estimator"],
+                         baseline_decay=cfg["variance_decay"])
         tc = TrainConfig(estimator=est, steps=cfg["steps"], seed=cfg["seed"],
                          learning_rate=cfg["learning_rate"],
                          momentum=cfg["momentum"], minibatch=cfg["minibatch"],
@@ -633,14 +629,6 @@ def _selftest_checks(seed: int):
         est = EstimatorConfig(kind="muprop")
         worst = max(worst, float(variance_by_enumeration(est, f, dist).max()))
     add("muprop_zero_variance_degree1", worst < 1e-12, worst)
-
-    # EMA track definitional cases
-    z = stream(seed, 8).normal(size=200)
-    _, v0 = ema_mean_and_variance(z, 0.0)
-    worst = float(np.abs(v0[1:] - (z[1:] - z[:-1]) ** 2).max())
-    _, vc = ema_mean_and_variance(np.full(50, 3.25), 0.9)
-    worst = max(worst, float(np.abs(vc).max()))
-    add("ema_definitional", worst < 1e-12, worst)
 
     # function language round-trips
     ok = True

@@ -251,9 +251,11 @@ def points_to_indices(xs: np.ndarray) -> np.ndarray:
 def index_to_point(index: int, n: int) -> np.ndarray:
     """Inverse of point_to_index."""
     _check_dimension(n)
+    if not _is_integer(index):
+        raise ValueError("index must be an integer")
     if not 0 <= index < (1 << n):
         raise ValueError("index out of range for dimension %d" % n)
-    bits = (index >> np.arange(n)) & 1
+    bits = (int(index) >> np.arange(n)) & 1
     return (2 * bits - 1).astype(np.int8)
 
 

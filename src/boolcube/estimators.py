@@ -58,7 +58,6 @@ __all__ = [
     "expected_value_by_enumeration",
     "variance_by_enumeration",
     "estimate_gradient",
-    "ema_mean_and_variance",
     "check_trials",
     "benchmark_variance",
 ]
@@ -80,9 +79,8 @@ class EstimatorConfig:
     rho is the keep-probability of the correlated resampler, in [0, 1];
     kinds that divide by it need rho > 0.  t_rho_samples is the inner
     Monte Carlo count k.  alpha scales the first-order term and beta the
-    smoothing-based variate in `combined`.  baseline_decay drives the EMA
-    variance track of the benchmark harness and the trainer's per-layer
-    gradient variance track.
+    smoothing-based variate in `combined`.  baseline_decay drives only
+    the trainer's per-layer gradient variance track.
 
     exact_inner replaces inner Monte Carlo by the exactly smoothed
     function (k is then ignored).  taylor_at_sample switches `combined`
@@ -446,92 +444,6 @@ def estimate_gradient(cfg: EstimatorConfig, f: BooleanFunction,
 # ---------------------------------------------------------------------------
 # Variance benchmarking.
 
-def ema_mean_and_variance(z: np.ndarray, decay: float) -> tuple[np.ndarray, np.ndarray]:
-    """Running EMA mean and EMA of squared innovations along axis 0.
-
-    m[0] = z[0], v[0] = 0; for t >= 1, with innovation e = z[t] - m[t-1]:
-    v[t] = decay*v[t-1] + (1-decay)*e^2, then m moves toward z[t].
-    Measuring the innovation against the previous mean keeps v nearly
-    calibrated for i.i.d. streams; decay 0 gives per-step squared
-    innovations.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[0] == 0:
-        raise ValueError("empty series")
-    d = float(decay)
-    if not 0.0 <= d < 1.0:
-        raise ValueError("decay must lie in [0, 1)")
-    z2 = z.reshape(z.shape[0], -1)
-    m = _ema_scan(z2, d, z2[0])
-    innov2 = np.empty_like(z2)
-    innov2[0] = 0.0
-    innov2[1:] = (z2[1:] - m[:-1]) ** 2
-    v = _ema_scan(innov2, d, np.zeros(z2.shape[1]))
-    return m.reshape(z.shape), v.reshape(z.shape)
-
-
-# Rows per block of the EMA scan.  Each block costs one small product
-# with a fixed (64, 64) matrix; the carry loop runs once per block.
-_SCAN_BLOCK = 64
-
-
-def _decay_powers(d: float, count: int) -> np.ndarray:
-    """d**j for j < count, with results below the normal range set to 0.
-
-    Built as d**(64q) * d**r for j = 64q + r, so only about count/64
-    powers are taken.  Flushing keeps subnormals out of the products
-    that use these weights; d = 0 gives exactly [1, 0, 0, ...].
-    """
-    blocks = -(-count // _SCAN_BLOCK)
-    with np.errstate(under="ignore"):
-        pw = np.outer(d ** (_SCAN_BLOCK * np.arange(blocks, dtype=np.float64)),
-                      d ** np.arange(_SCAN_BLOCK, dtype=np.float64))
-    pw = pw.reshape(-1)[:count]
-    pw[pw < np.finfo(np.float64).tiny] = 0.0
-    return pw
-
-
-def _ema_scan(x: np.ndarray, d: float, y0: np.ndarray) -> np.ndarray:
-    """y[t] = d*y[t-1] + (1-d)*x[t] down the rows of a (T, k) array, y[-1] = y0.
-
-    Rows go in blocks of 64.  Within a block, the scan from a zero state
-    is the lower-triangular product y_b = L x_b with L[i, j] =
-    (1-d) d^(i-j): one np.matmul over the (T//64, 64, k) view of x, and
-    L's leading (T%64, T%64) corner for the last T%64 rows.  A loop over
-    the block ends then carries the state c_b entering each block to the
-    next, c_{b+1} = y_b[63] + d^64 c_b, and row i of block b gains
-    d^(i+1) c_b.
-    """
-    T, k = x.shape
-    C = _SCAN_BLOCK
-    pw = _decay_powers(d, C + 1)
-    lag = np.subtract.outer(np.arange(C), np.arange(C))
-    L = np.where(lag >= 0, (1.0 - d) * pw[np.maximum(lag, 0)], 0.0)
-    full, tail = divmod(T, C)
-    y = np.empty((T, k))
-    head = y[:full * C].reshape(full, C, k)
-    np.matmul(L, x[:full * C].reshape(full, C, k), out=head)
-    np.matmul(L[:tail, :tail], x[full * C:], out=y[full * C:])
-    carry = np.empty((full + 1, k))
-    carry[0] = y0
-    for b in range(full):
-        carry[b + 1] = head[b, -1] + pw[C] * carry[b]
-    head += pw[1:, None] * carry[:full, None, :]
-    y[full * C:] += pw[1:tail + 1, None] * carry[full]
-    return y
-
-
-def _ema_last_variance(z: np.ndarray, d: float) -> np.ndarray:
-    """The last row of ema_mean_and_variance(z, d)[1] for a (T, k) array.
-
-    One scan for the mean, then v[T-1] = (1-d) sum_t d^(T-2-t) e[t]^2
-    over the innovations e[t] = z[t+1] - m[t] as a single dot product.
-    """
-    m = _ema_scan(z, d, z[0])
-    innov2 = (z[1:] - m[:-1]) ** 2
-    return (1.0 - d) * (_decay_powers(d, len(innov2))[::-1] @ innov2)
-
-
 def check_trials(trials: int) -> None:
     """Reject a trial count that is not an integer, or is too small for a
     sample variance (below 2)."""
@@ -544,13 +456,12 @@ class VarianceReport:
 
     mean: np.ndarray
     variance: np.ndarray
-    ema_variance: np.ndarray
     trials: int
     seed: int
     estimator: EstimatorConfig
 
     def __post_init__(self):
-        for name in ("mean", "variance", "ema_variance"):
+        for name in ("mean", "variance"):
             arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -563,7 +474,7 @@ class VarianceReport:
         return self.mean.shape[0]
 
     def to_csv(self, extra_header: str | None = None) -> str:
-        """CSV with columns coord,mean,variance,ema_variance,trials,seed,estimator.
+        """CSV with columns coord,mean,variance,trials,seed,estimator.
 
         A header comment records the estimator label, trials, and seed;
         callers may prepend one more comment line (resolved run config).
@@ -574,12 +485,11 @@ class VarianceReport:
             lines.append("# " + extra_header)
         lines.append("# estimator=%s trials=%d seed=%d"
                      % (self.estimator.label(), self.trials, self.seed))
-        lines.append("coord,mean,variance,ema_variance,trials,seed,estimator")
+        lines.append("coord,mean,variance,trials,seed,estimator")
         for i in range(self.n):
-            lines.append("%d,%s,%s,%s,%d,%d,%s" % (
+            lines.append("%d,%s,%s,%d,%d,%s" % (
                 i, repr(float(self.mean[i])), repr(float(self.variance[i])),
-                repr(float(self.ema_variance[i])), self.trials, self.seed,
-                self.estimator.label()))
+                self.trials, self.seed, self.estimator.label()))
         return "\n".join(lines) + "\n"
 
 
@@ -591,7 +501,6 @@ def benchmark_variance(cfg: EstimatorConfig, f: BooleanFunction,
 
     Takes a seed rather than a generator so the report pins its own
     provenance; the sampling order is fixed, making reruns identical.
-    The EMA track follows the trial order with decay cfg.baseline_decay.
     """
     check_trials(trials)
     rng = stream(seed)
@@ -599,6 +508,4 @@ def benchmark_variance(cfg: EstimatorConfig, f: BooleanFunction,
     m = _cube_contributions(cfg, f, dist, xs, rng, g=g, baseline=baseline,
                             taylor=taylor, derivs=derivs)
     return VarianceReport(mean=m.mean(axis=0), variance=m.var(axis=0, ddof=1),
-                          ema_variance=_ema_last_variance(m, cfg.baseline_decay),
-                          trials=trials, seed=seed,
-                          estimator=cfg)
+                          trials=trials, seed=seed, estimator=cfg)

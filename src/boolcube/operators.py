@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import (PROB_FLOOR, ProductDistribution, _check_count, _check_pairing,
-                   _check_width, _per_coordinate, _resampled, correlated_sample,
-                   point, weights)
+                   _check_width, _is_integer, _per_coordinate, _resampled,
+                   correlated_sample, point, weights)
 from .fourier import (
     BooleanFunction,
     FourierExpansion,
@@ -43,6 +43,8 @@ def discrete_derivative(e: FourierExpansion, i: int) -> FourierExpansion:
     Every coefficient on a subset containing i moves to the subset
     without i; the rest drop.  The result never involves coordinate i.
     """
+    if not _is_integer(i):
+        raise ValueError("coordinate i must be an integer")
     if not 0 <= i < e.n:
         raise ValueError("coordinate %d out of range" % i)
     return FourierExpansion._of_vector(
@@ -51,6 +53,8 @@ def discrete_derivative(e: FourierExpansion, i: int) -> FourierExpansion:
 
 def noise_expansion(e: FourierExpansion, rho: float) -> FourierExpansion:
     """Apply the noise operator in coefficient space: scale by rho^|S|."""
+    if not np.isfinite(rho):
+        raise ValueError("rho must be finite")
     per_degree = np.array([rho ** d for d in range(e.n + 1)])
     return FourierExpansion._of_vector(e.vector * per_degree[_popcounts(e.n)])
 

@@ -39,8 +39,7 @@ import numpy as np
 
 from .cube import (MAX_N, PROB_FLOOR, ProductDistribution, _is_integer,
                    enumerate_points, weights)
-from .estimators import (EstimatorConfig, _contributions, _score,
-                         ema_mean_and_variance)
+from .estimators import EstimatorConfig, _contributions, _score
 from .fourier import BooleanFunction
 from .nets import (
     MLP,
@@ -66,7 +65,6 @@ __all__ = [
     "elbo_sample",
     "Trainer",
     "train",
-    "variance_ema_track",
     "exact_log_likelihood",
     "enumerate_elbo",
     "expected_q_logit_gradient",
@@ -411,6 +409,12 @@ class Trainer:
         self._ema: dict[int, list[np.ndarray]] = {}
 
     def _track(self, li: int, flat: np.ndarray) -> float:
+        """Log of layer li's EMA gradient variance, averaged over elements.
+
+        With innovation e = flat - m against the previous mean,
+        v = d v + (1-d) e^2, then m = d m + (1-d) flat.  The first call
+        only stores the mean and reports LOG_VAR_FLOOR.
+        """
         st = self._ema.get(li)
         if st is None:
             self._ema[li] = [flat.copy(), np.zeros_like(flat)]
@@ -522,21 +526,6 @@ def train(model: SbnModel, qnet: InferenceNet, baselines: SbnBaselines,
         elbo[t] = e
         logvar[t] = lv
     return TrainResult(elbo=elbo, log_variance=logvar, config=cfg)
-
-
-def variance_ema_track(history: np.ndarray, decay: float) -> np.ndarray:
-    """Per-step log of the EMA variance of a gradient sample series.
-
-    history is (T,) or (T, d); elementwise EMA variance is averaged
-    over d, logged, and floored at LOG_VAR_FLOOR.  Step 0 reports the
-    floor (no innovation yet); decay 0 gives per-step log squared
-    innovations.
-    """
-    z = np.asarray(history, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    _, v = ema_mean_and_variance(z, decay)
-    return _floored_log(v.mean(axis=1))
 
 
 @np.errstate(divide="ignore")

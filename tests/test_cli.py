@@ -110,7 +110,7 @@ def test_bench_measured_variances(tmp_path, capsys):
     for kind, want in (("reinforce", 3.0), ("fourier_cv", 15.0)):
         lines = read(tmp_path / ("bench_%s.csv" % kind)).splitlines()
         assert lines[0].startswith("# cmd=bench")
-        assert lines[2] == "coord,mean,variance,ema_variance,trials,seed,estimator"
+        assert lines[2] == "coord,mean,variance,trials,seed,estimator"
         rows = [row.split(",") for row in lines[3:]]
         assert len(rows) == 3
         for row in rows:
@@ -263,9 +263,9 @@ def test_selftest_green(tmp_path, capsys):
     lines = read(tmp_path / "selftest.csv").splitlines()
     assert lines[1] == "check,status,detail"
     rows = [row.split(",") for row in lines[2:]]
-    assert len(rows) == 14
+    assert len(rows) == 13
     assert all(row[1] == "PASS" for row in rows)
-    assert out.count("PASS") == 14 and "FAIL" not in out
+    assert out.count("PASS") == 13 and "FAIL" not in out
 
 
 def test_selftest_rerun_byte_identical(tmp_path, capsys):
@@ -418,7 +418,8 @@ def test_flag_beats_config_value(tmp_path, capsys):
 _BENCH = {"function": "maj(3)", "trials": 1000}
 _LIBRARY_OWNED = [
     ("gradcheck", {"n": 3, "degree": 5}, "degree must lie in [1, dimension]"),
-    ("bench", {"decay": 1.0}, "baseline_decay must lie in [0, 1)"),
+    # bench reports no EMA, so it has no decay to pass on
+    ("bench", {"decay": 1.0}, "unknown config key 'decay' for bench"),
     ("bench", {"taylor_at_sample": True,
                "estimators": ["combined", "reinforce"]},
      "taylor_at_sample applies only to kind 'combined'"),

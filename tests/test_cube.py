@@ -25,6 +25,7 @@ from boolcube import (
     coefficient_mc,
     contribution,
     correlated_sample,
+    discrete_derivative,
     enumerate_points,
     estimate_gradient,
     exact_gradient,
@@ -36,6 +37,7 @@ from boolcube import (
     log_prob,
     multilinear_gradient,
     noise_exact,
+    noise_expansion,
     noise_mc,
     norm,
     numeric_gradient,
@@ -784,6 +786,16 @@ SETTINGS = [
      "rho must be finite"),
     ("noise_exact-rho-inf", lambda: noise_exact(F3, -np.inf, D3),
      "rho must be finite"),
+    ("noise_expansion-rho-nan", lambda: noise_expansion(E3, np.nan),
+     "rho must be finite"),
+    ("noise_expansion-rho-inf", lambda: noise_expansion(E3, np.inf),
+     "rho must be finite"),
+    ("discrete_derivative-i-float", lambda: discrete_derivative(E3, 1.5),
+     "coordinate i must be an integer"),
+    ("discrete_derivative-i-bool", lambda: discrete_derivative(E3, True),
+     "coordinate i must be an integer"),
+    ("index_to_point-index-float", lambda: index_to_point(2.5, 3),
+     "index must be an integer"),
     ("hypercontractivity_check-rho-nan",
      lambda: hypercontractivity_check(F3, D3, rho=np.nan),
      "rho must be finite"),
@@ -828,6 +840,10 @@ def test_numpy_integer_counts_are_accepted():
     got = estimate_gradient(CFG, F3, D3, np.int64(8), 0).grad
     assert np.array_equal(got, estimate_gradient(CFG, F3, D3, 8, 0).grad)
     assert benchmark_variance(CFG, F3, D3, np.int64(4), 0).trials == 4
+    for index in (np.int64(5), np.uint64(5)):
+        assert np.array_equal(index_to_point(index, 3), index_to_point(5, 3))
+    assert np.array_equal(discrete_derivative(E3, np.int8(1)).vector,
+                          discrete_derivative(E3, 1).vector)
     assert stream(np.int64(5), np.uint8(2)).random() == stream(5, 2).random()
     assert cfg_train(seed=np.int64(3)).seed == 3
     assert SbnModel((np.int64(2),), np.int32(6), fresh_rng()).widths == (2,)

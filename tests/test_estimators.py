@@ -22,7 +22,6 @@ from boolcube import (
     benchmark_variance,
     contribution,
     derivative_tables,
-    ema_mean_and_variance,
     enumerate_points,
     estimate_gradient,
     exact_gradient,
@@ -41,7 +40,6 @@ from boolcube import (
     variance_by_enumeration,
     weights,
 )
-from boolcube.estimators import _ema_last_variance
 from boolcube.operators import discrete_derivative
 
 MAJ3 = parse_function("maj(3)").build()
@@ -550,78 +548,6 @@ def test_inner_sample_count_shrinks_inner_term():
     assert np.all(v4 < v1)
 
 
-# ---------------------------------------------------------------------------
-# EMA track.
-
-def ema_loop(z, decay):
-    m = np.array(z[0], dtype=np.float64)
-    v = np.zeros_like(m)
-    ms, vs = [m.copy()], [v.copy()]
-    for t in range(1, len(z)):
-        e = z[t] - m
-        v = decay * v + (1.0 - decay) * e * e
-        m = decay * m + (1.0 - decay) * z[t]
-        ms.append(m.copy())
-        vs.append(v.copy())
-    return np.array(ms), np.array(vs)
-
-
-EMA_LENGTHS = (1, 2, 63, 64, 65, 200, 1000)  # straddle the 64-row scan blocks
-EMA_DECAYS = (0.0, 1e-3, 0.5, 0.9, 0.99, 0.9999)
-
-
-def test_ema_matches_reference_loop():
-    rng = stream(22)
-    for length, shape, decay in itertools.product(
-            EMA_LENGTHS, ((), (3,)), EMA_DECAYS):
-        z = rng.normal(size=(length,) + shape)
-        m, v = ema_mean_and_variance(z, decay)
-        m_ref, v_ref = ema_loop(z, decay)
-        assert m.shape == v.shape == z.shape
-        assert np.max(np.abs(m - m_ref)) < 1e-12
-        assert np.max(np.abs(v - v_ref)) < 1e-12
-
-
-def test_benchmark_last_ema_variance_matches_full_track():
-    # benchmark_variance reads v[-1] from one dot product, not a v scan
-    rng = stream(31)
-    for length, decay in itertools.product(EMA_LENGTHS, EMA_DECAYS):
-        z = rng.normal(size=(length, 3))
-        want = ema_mean_and_variance(z, decay)[1][-1]
-        got = _ema_last_variance(z, decay)
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-
-
-def test_ema_decay_zero_gives_squared_innovations():
-    z = np.array([1.0, 4.0, 2.0])
-    m, v = ema_mean_and_variance(z, 0.0)
-    assert np.array_equal(m, z)
-    assert v == pytest.approx([0.0, 9.0, 4.0], abs=1e-15)
-
-
-def test_ema_constant_series():
-    z = np.full((50, 2), 3.25)
-    m, v = ema_mean_and_variance(z, 0.9)
-    assert np.max(np.abs(m - 3.25)) < 1e-12
-    assert np.max(np.abs(v)) < 1e-24
-
-
-def test_ema_tracks_iid_variance():
-    # calibration: on an i.i.d. stream the EMA of squared innovations
-    # settles near the true variance (innovation against the lagged mean
-    # inflates it by the vanishing factor (1-d)/(1+d) only)
-    z = stream(23).normal(size=(100000, 1)) * 2.0
-    _, v = ema_mean_and_variance(z, 0.99)
-    assert abs(float(v[-1, 0]) / 4.0 - 1.0) < 0.1
-
-
-def test_ema_validation():
-    with pytest.raises(ValueError):
-        ema_mean_and_variance(np.empty((0, 2)), 0.9)
-    with pytest.raises(ValueError):
-        ema_mean_and_variance(np.zeros((3, 2)), 1.0)
-
-
 _NO_SCIPY = """
 import sys
 import boolcube
@@ -692,7 +618,6 @@ def test_benchmark_muprop_linear_zero_variance():
     rep = benchmark_variance(EstimatorConfig("muprop"), f, U3,
                              trials=2000, seed=28)
     assert np.max(rep.variance) < 1e-24
-    assert np.max(rep.ema_variance) < 1e-24
     assert np.max(np.abs(rep.mean - exact_gradient(f, U3))) < 1e-12
 
 
@@ -710,7 +635,7 @@ def test_benchmark_csv_structure():
     lines = text.splitlines()
     assert lines[0] == "# cmd=bench"
     assert lines[1].startswith("# estimator=reinforce[")
-    assert lines[2] == "coord,mean,variance,ema_variance,trials,seed,estimator"
+    assert lines[2] == "coord,mean,variance,trials,seed,estimator"
     assert len(lines) == 6
     assert text.endswith("\n")
 

@@ -1,6 +1,7 @@
 """Export lists: every listed name exists, the package re-exports each
-module's list, removed names stay gone, every imported name is used, and
-every public callable that takes a distribution has a refusal row."""
+module's list, removed names stay gone, every imported name is used,
+every private module-level name is read, and every public callable that
+takes a distribution has a refusal row."""
 
 import ast
 import importlib
@@ -21,6 +22,9 @@ REEXPORTED = ("cube", "estimators", "fourier", "funcspec", "operators",
 REMOVED = ("reinforce", "reinforce_const_baseline", "straight_through",
            "muprop", "fourier_cv", "fourier_cv_alt", "combined",
            "single_sample")
+
+# The batch EMA; the trainer's online track is the only EMA left.
+REMOVED_EMA = ("ema_mean_and_variance", "variance_ema_track")
 
 
 def modules():
@@ -46,6 +50,12 @@ def test_removed_per_sample_functions_are_not_exported():
             assert name not in mod.__all__, (mod.__name__, name)
     for name in REMOVED:
         assert not hasattr(boolcube.estimators, name), name
+
+
+def test_batch_ema_is_gone():
+    for mod in modules():
+        for name in REMOVED_EMA:
+            assert not hasattr(mod, name), (mod.__name__, name)
 
 
 def test_callable_backing_is_gone():
@@ -86,6 +96,40 @@ def test_every_imported_name_is_used():
                     continue
                 name = alias.asname or alias.name.split(".")[0]
                 assert name in used, where + (name,)
+
+
+def module_level_private_names(tree):
+    # functions, classes and constants a module defines at its top level
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_every_private_module_level_name_is_read():
+    # a private helper or constant no code in src/boolcube reads is left
+    # over from a removed path; reads by tests alone do not count
+    trees = {path.name: ast.parse(path.read_text())
+             for path, _, _ in source_files() if path.parent.name == "boolcube"}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [(file, line, name) for file, tree in trees.items()
+              for name, line in module_level_private_names(tree)
+              if name not in read]
+    assert not unread, unread
 
 
 # Public callables with a `dist` parameter that pair it with nothing a

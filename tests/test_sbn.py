@@ -26,12 +26,10 @@ from boolcube import (
     save_dataset,
     stream,
     train,
-    variance_ema_track,
 )
 from boolcube.estimators import (
     KINDS,
     MeanTaylor,
-    ema_mean_and_variance,
     expected_value_by_enumeration,
 )
 from boolcube.fourier import BooleanFunction
@@ -358,28 +356,46 @@ def test_sampled_gradients_deterministic():
 # ---------------------------------------------------------------------------
 # Variance track.
 
+def ema_loop(z, decay):
+    m = np.array(z[0], dtype=np.float64)
+    v = np.zeros_like(m)
+    ms, vs = [m.copy()], [v.copy()]
+    for t in range(1, len(z)):
+        e = z[t] - m
+        v = decay * v + (1.0 - decay) * e * e
+        m = decay * m + (1.0 - decay) * z[t]
+        ms.append(m.copy())
+        vs.append(v.copy())
+    return np.array(ms), np.array(vs)
+
+
+def tracked(series, decay):
+    """What Trainer._track reports for layer 0 at each row of series."""
+    model, qnet, baselines = build_toy((4,), 36, seed=65,
+                                       baseline_hidden=8, g_hidden=8)
+    cfg = TrainConfig(estimator=EstimatorConfig("reinforce",
+                                                baseline_decay=decay),
+                      steps=1, seed=65)
+    trainer = Trainer(model, qnet, baselines, cfg)
+    return np.array([trainer._track(0, np.array(row, dtype=np.float64))
+                     for row in series])
+
+
 def test_variance_ema_track_examples():
     # step 0 reports the floor; constants stay at the floor
-    z = np.array([5.0, 5.0, 5.0])
-    assert np.array_equal(variance_ema_track(z, 0.9),
+    assert np.array_equal(tracked(np.full((3, 2), 5.0), 0.9),
                           np.full(3, LOG_VAR_FLOOR))
-    # decay 0: log of squared innovations
-    z = np.array([1.0, 3.0, 2.0])
-    got = variance_ema_track(z, 0.0)
+    # decay 0: log of the squared innovation, averaged over the elements
+    got = tracked([[1.0, 0.0], [3.0, 4.0], [2.0, 4.0]], 0.0)
     assert got[0] == LOG_VAR_FLOOR
-    assert got[1] == pytest.approx(np.log(4.0), abs=1e-12)
-    assert got[2] == pytest.approx(np.log(1.0), abs=1e-12)
-    # multi-column input averages the per-column EMA before the log
-    z2 = stream(58).normal(size=(40, 3))
-    _, v = ema_mean_and_variance(z2, 0.9)
-    want = np.log(v[1:].mean(axis=1))
-    got = variance_ema_track(z2, 0.9)
-    assert np.max(np.abs(got[1:] - want)) < 1e-12
+    assert got[1] == pytest.approx(np.log(10.0), abs=1e-12)
+    assert got[2] == pytest.approx(np.log(0.5), abs=1e-12)
 
 
 def test_online_track_equals_batch_track(monkeypatch):
-    # the step's online EMA reads, per layer, what variance_ema_track
-    # reads off the whole recorded series of q gradients
+    # the step's online EMA reads, per layer, what a plain per-step loop
+    # over the whole recorded series of q gradients reads: the per-element
+    # EMA variance, averaged, logged and floored
     seen: dict[int, list] = {}
 
     class Recording(Trainer):
@@ -396,8 +412,9 @@ def test_online_track_equals_batch_track(monkeypatch):
     res = train(model, qnet, baselines, bars_dataset(16, seed=7), cfg)
     assert sorted(seen) == [0, 1]
     for li, series in seen.items():
-        want = variance_ema_track(np.array(series),
-                                  cfg.estimator.baseline_decay)
+        _, v = ema_loop(np.array(series), cfg.estimator.baseline_decay)
+        with np.errstate(divide="ignore"):
+            want = np.maximum(np.log(v.mean(axis=1)), LOG_VAR_FLOOR)
         assert np.max(np.abs(res.log_variance[:, li] - want)) < 1e-12, li
 
 
