@@ -75,6 +75,24 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_coordinate(i, n: int) -> int:
+    """i as an int, refused unless it is an integer in [0, n): numpy
+    would read a negative one from the end and fail inside on a float."""
+    if not _is_integer(i):
+        raise ValueError("coordinate i must be an integer")
+    if not 0 <= i < n:
+        raise ValueError("coordinate %d out of range [0, %d)" % (i, n))
+    return int(i)
+
+
+def _member(i) -> int:
+    """i as an int, refused unless it is a non-negative integer: int()
+    would truncate a float, and a negative one fails inside a shift."""
+    if not (_is_integer(i) and i >= 0):
+        raise ValueError("coordinate %r is not a non-negative integer" % (i,))
+    return int(i)
+
+
 def _check_count(name: str, value, least: int) -> None:
     """Refuse a count that is not an integer or is below least."""
     if not _is_integer(value):
@@ -135,10 +153,10 @@ class ProductDistribution:
         return cls(np.full(n, 0.5))
 
     def mean(self, i: int) -> float:
-        return float(self.mu[i])
+        return float(self.mu[_check_coordinate(i, self.n)])
 
     def sd(self, i: int) -> float:
-        return float(self.sigma[i])
+        return float(self.sigma[_check_coordinate(i, self.n)])
 
     def min_outcome_probability(self) -> float:
         """min_i min(p_i, 1 - p_i) — the smallest outcome probability."""
@@ -147,7 +165,7 @@ class ProductDistribution:
     def with_prob(self, i: int, value: float) -> "ProductDistribution":
         """A copy with coordinate i's probability replaced."""
         p = np.array(self.probs)
-        p[i] = value
+        p[_check_coordinate(i, self.n)] = value
         return ProductDistribution(p)
 
 
@@ -169,9 +187,7 @@ class SubsetIndex:
     def of(cls, indices: Iterable[int]) -> "SubsetIndex":
         mask = 0
         for i in indices:
-            if i < 0:
-                raise ValueError("coordinate indices must be non-negative")
-            bit = 1 << int(i)
+            bit = 1 << _member(i)
             if mask & bit:
                 raise ValueError("duplicate coordinate %d" % i)
             mask |= bit
@@ -200,10 +216,10 @@ class SubsetIndex:
         return self.mask.bit_count()
 
     def contains(self, i: int) -> bool:
-        return bool((self.mask >> i) & 1)
+        return bool((self.mask >> _member(i)) & 1)
 
     def without(self, i: int) -> "SubsetIndex":
-        return SubsetIndex(self.mask & ~(1 << i))
+        return SubsetIndex(self.mask & ~(1 << _member(i)))
 
     def valid_for(self, n: int) -> bool:
         return self.mask < (1 << n)
@@ -371,14 +387,14 @@ def _resampled(bits: np.ndarray, rho: float, p: np.ndarray,
 
 def phi(i: int, x: np.ndarray, dist: ProductDistribution) -> float:
     """The standardized coordinate (x_i - mu_i) / sigma_i."""
-    return float(phi_matrix(x, dist)[..., i])
+    return float(phi_matrix(x, dist)[..., _check_coordinate(i, dist.n)])
 
 
 def phi_set(S: SubsetIndex, x: np.ndarray, dist: ProductDistribution) -> float:
     """Product of phi over the subset's members; the empty subset gives 1."""
     out, ph = 1.0, phi_matrix(x, dist)
     for i in S:
-        out *= ph[i]
+        out *= ph[_check_coordinate(i, dist.n)]
     return float(out)
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (PROB_FLOOR, ProductDistribution, _check_count, _check_pairing,
-                   _check_width, _is_integer, _per_coordinate, _resampled,
-                   correlated_sample, point, weights)
+from .cube import (PROB_FLOOR, ProductDistribution, _check_coordinate,
+                   _check_count, _check_pairing, _check_width, _per_coordinate,
+                   _resampled, correlated_sample, point, weights)
 from .fourier import (
     BooleanFunction,
     FourierExpansion,
@@ -43,20 +43,28 @@ def discrete_derivative(e: FourierExpansion, i: int) -> FourierExpansion:
     Every coefficient on a subset containing i moves to the subset
     without i; the rest drop.  The result never involves coordinate i.
     """
-    if not _is_integer(i):
-        raise ValueError("coordinate i must be an integer")
-    if not 0 <= i < e.n:
-        raise ValueError("coordinate %d out of range" % i)
     return FourierExpansion._of_vector(
-        _lower_slots(e.vector, i, np.zeros(1 << e.n)))
+        _lower_slots(e.vector, _check_coordinate(i, e.n), np.zeros(1 << e.n)))
 
 
 def noise_expansion(e: FourierExpansion, rho: float) -> FourierExpansion:
-    """Apply the noise operator in coefficient space: scale by rho^|S|."""
+    """Apply the noise operator in coefficient space: scale by rho^|S|.
+
+    Any finite rho is taken, inside [0, 1] or not, unless a scaled
+    coefficient leaves the float range; a power past it counts as
+    infinite, so 0 * rho^|S| is refused there too."""
     if not np.isfinite(rho):
         raise ValueError("rho must be finite")
-    per_degree = np.array([rho ** d for d in range(e.n + 1)])
-    return FourierExpansion._of_vector(e.vector * per_degree[_popcounts(e.n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            per_degree = np.array([rho ** d for d in range(e.n + 1)])
+        except OverflowError:  # a Python float's power past the float range
+            per_degree = np.full(e.n + 1, np.inf)
+        vector = e.vector * per_degree[_popcounts(e.n)]
+    if not np.isfinite(vector).all():
+        raise ValueError("rho = %r takes the scaled coefficients past the "
+                         "float range" % float(rho))
+    return FourierExpansion._of_vector(vector)
 
 
 def noise_exact(f: BooleanFunction, rho: float,

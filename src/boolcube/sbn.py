@@ -51,7 +51,7 @@ from .nets import (
     sigmoid,
 )
 from .operators import _smoothed_mc, noise_exact
-from .rng import stream
+from .rng import rekey, stream, stream_keys
 
 __all__ = [
     "LOG_VAR_FLOOR",
@@ -504,7 +504,10 @@ def train(model: SbnModel, qnet: InferenceNet, baselines: SbnBaselines,
     Stream discipline: epoch shuffles, per-step latent draws, and
     per-step estimator inner noise come from disjoint substreams of
     cfg.seed, so estimators that consume no inner noise see identical
-    latents to those that do.
+    latents to those that do.  Step t draws its latents from
+    stream(seed, 1, t) and its inner noise from stream(seed, 2, t), and
+    epoch e shuffles with stream(seed, 3, e): one reused generator per
+    role, re-keyed to that stream's start from `stream_keys`.
     """
     data = np.asarray(data, dtype=np.float64)
     N, B = data.shape[0], cfg.minibatch
@@ -515,14 +518,19 @@ def train(model: SbnModel, qnet: InferenceNet, baselines: SbnBaselines,
     trainer = Trainer(model, qnet, baselines, cfg)
     elbo = np.empty(cfg.steps)
     logvar = np.empty((cfg.steps, L))
+    epochs = -(-cfg.steps // per_epoch)
+    latent_keys, inner_keys, epoch_keys = (
+        stream_keys(cfg.seed, a, count=c)
+        for a, c in ((1, cfg.steps), (2, cfg.steps), (3, epochs)))
+    latent, inner, shuffle = (stream(cfg.seed, a, 0) for a in (1, 2, 3))
     perm = None
     for t in range(cfg.steps):
         k = t % per_epoch
         if k == 0:
-            perm = stream(cfg.seed, 3, t // per_epoch).permutation(N)
+            perm = rekey(shuffle, epoch_keys[t // per_epoch]).permutation(N)
         batch = data[perm[k * B:(k + 1) * B]]
-        e, lv = trainer.step(batch, stream(cfg.seed, 1, t),
-                             stream(cfg.seed, 2, t), step_index=t)
+        e, lv = trainer.step(batch, rekey(latent, latent_keys[t]),
+                             rekey(inner, inner_keys[t]), step_index=t)
         elbo[t] = e
         logvar[t] = lv
     return TrainResult(elbo=elbo, log_variance=logvar, config=cfg)

@@ -794,6 +794,40 @@ SETTINGS = [
      "coordinate i must be an integer"),
     ("discrete_derivative-i-bool", lambda: discrete_derivative(E3, True),
      "coordinate i must be an integer"),
+    ("discrete_derivative-i-past-n", lambda: discrete_derivative(E3, 3),
+     "coordinate 3 out of range [0, 3)"),
+    ("noise_expansion-rho-overflow", lambda: noise_expansion(E3, 1e200),
+     "rho = 1e+200 takes the scaled coefficients past the float range"),
+    ("noise_expansion-rho-overflow-float64",
+     lambda: noise_expansion(E3, np.float64(1e200)),
+     "rho = 1e+200 takes the scaled coefficients past the float range"),
+    ("with_prob-i-negative", lambda: D3.with_prob(-1, 0.3),
+     "coordinate -1 out of range [0, 3)"),
+    ("with_prob-i-float", lambda: D3.with_prob(0.0, 0.3),
+     "coordinate i must be an integer"),
+    ("mean-i-negative", lambda: D3.mean(-1),
+     "coordinate -1 out of range [0, 3)"),
+    ("mean-i-float", lambda: D3.mean(1.0), "coordinate i must be an integer"),
+    ("sd-i-negative", lambda: D3.sd(-3), "coordinate -3 out of range [0, 3)"),
+    ("sd-i-past-n", lambda: D3.sd(3), "coordinate 3 out of range [0, 3)"),
+    ("phi-i-negative", lambda: phi(-1, X3, D3),
+     "coordinate -1 out of range [0, 3)"),
+    ("phi-i-float", lambda: phi(2.0, X3, D3),
+     "coordinate i must be an integer"),
+    ("phi_set-member-past-n", lambda: phi_set(SubsetIndex.of([0, 5]), X3, D3),
+     "coordinate 5 out of range [0, 3)"),
+    ("SubsetIndex.of-float", lambda: SubsetIndex.of([1.5]),
+     "coordinate 1.5 is not a non-negative integer"),
+    ("SubsetIndex.of-negative", lambda: SubsetIndex.of([0, -1]),
+     "coordinate -1 is not a non-negative integer"),
+    ("SubsetIndex.of-bool", lambda: SubsetIndex.of([True]),
+     "coordinate True is not a non-negative integer"),
+    ("SubsetIndex.contains-negative", lambda: SubsetIndex(3).contains(-1),
+     "coordinate -1 is not a non-negative integer"),
+    ("SubsetIndex.without-negative", lambda: SubsetIndex(3).without(-1),
+     "coordinate -1 is not a non-negative integer"),
+    ("SubsetIndex.without-float", lambda: SubsetIndex(3).without(0.5),
+     "coordinate 0.5 is not a non-negative integer"),
     ("index_to_point-index-float", lambda: index_to_point(2.5, 3),
      "index must be an integer"),
     ("hypercontractivity_check-rho-nan",
@@ -844,6 +878,14 @@ def test_numpy_integer_counts_are_accepted():
         assert np.array_equal(index_to_point(index, 3), index_to_point(5, 3))
     assert np.array_equal(discrete_derivative(E3, np.int8(1)).vector,
                           discrete_derivative(E3, 1).vector)
+    d = ProductDistribution([0.2, 0.5, 0.7])
+    i = np.int64(2)
+    assert (d.mean(i), d.sd(i)) == (d.mean(2), d.sd(2))
+    assert np.array_equal(d.with_prob(np.uint8(2), 0.3).probs, [0.2, 0.5, 0.3])
+    assert phi(i, X3, d) == phi(2, X3, d)
+    assert SubsetIndex.of([np.int64(70), 1]) == SubsetIndex((1 << 70) | 2)
+    assert SubsetIndex(6).contains(np.uint8(2))
+    assert SubsetIndex(6).without(np.int32(1)) == SubsetIndex(4)
     assert stream(np.int64(5), np.uint8(2)).random() == stream(5, 2).random()
     assert cfg_train(seed=np.int64(3)).seed == 3
     assert SbnModel((np.int64(2),), np.int32(6), fresh_rng()).widths == (2,)

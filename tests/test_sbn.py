@@ -439,6 +439,62 @@ def test_train_deterministic():
     assert runs[0] == runs[1]
 
 
+def reference_train(model, qnet, baselines, data, cfg):
+    """The training loop with a fresh stream(seed, a, t) per step and
+    stream(seed, 3, epoch) per epoch: (ELBO, log-variance) per step."""
+    N, B = data.shape[0], cfg.minibatch
+    per_epoch = N // B
+    trainer = Trainer(model, qnet, baselines, cfg)
+    elbo, logvar = [], []
+    for t in range(cfg.steps):
+        k = t % per_epoch
+        if k == 0:
+            perm = stream(cfg.seed, 3, t // per_epoch).permutation(N)
+        e, lv = trainer.step(data[perm[k * B:(k + 1) * B]],
+                             stream(cfg.seed, 1, t), stream(cfg.seed, 2, t),
+                             step_index=t)
+        elbo.append(e)
+        logvar.append(lv)
+    return np.array(elbo), np.array(logvar)
+
+
+@pytest.mark.parametrize("widths", [(12,), (8, 4)])
+@pytest.mark.parametrize("kind", ["reinforce", "combined", "fourier_cv"])
+def test_train_equals_fresh_streams_per_step(kind, widths):
+    # 5 minibatches per epoch, so 23 steps cross four epoch boundaries
+    data = bars_dataset(20, seed=7)
+    cfg = tiny_cfg(kind, steps=23)
+    nets, ref_nets = (build_toy(widths, 36, seed=64, baseline_hidden=8,
+                                g_hidden=8) for _ in range(2))
+    res = train(*nets, data, cfg)
+    elbo, logvar = reference_train(*ref_nets, data, cfg)
+    assert np.array_equal(res.elbo, elbo)
+    assert np.array_equal(res.log_variance, logvar)
+    for (name, got), want in zip(named_parameters(*nets).items(),
+                                 named_parameters(*ref_nets).values()):
+        assert np.array_equal(got, want), name
+
+
+def test_train_calls_stream_a_fixed_number_of_times(monkeypatch):
+    # per-step streams come from re-keyed generators, so the number of
+    # stream calls does not grow with the step count
+    calls = []
+
+    def counting(*path):
+        calls.append(path)
+        return stream(*path)
+
+    monkeypatch.setattr("boolcube.sbn.stream", counting)
+    data = bars_dataset(16, seed=7)
+    counts = []
+    for steps in (5, 60):
+        nets = build_toy((4,), 36, seed=65, baseline_hidden=8, g_hidden=8)
+        calls.clear()
+        train(*nets, data, tiny_cfg("combined", steps=steps))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_train_result_shapes_and_csv():
     data = bars_dataset(12, seed=7)
     model, qnet, baselines = build_toy((4, 3), 36, seed=62,
