@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 
@@ -155,6 +156,12 @@ def _list_of(item):
 
 
 _SEED = _int_in(0)
+# TrainConfig's defaulted fields, each a train key with its default and
+# the coercer of the default's type.
+_TRAINER = {f.name: (f.default, _bool if isinstance(f.default, bool) else
+                     _int_in() if isinstance(f.default, int) else _float_in())
+            for f in dataclasses.fields(TrainConfig)
+            if f.default is not dataclasses.MISSING}
 # The estimator settings bench and train share, with EstimatorConfig's
 # defaults; _estimator builds the config from them.
 _ESTIMATOR = {
@@ -206,17 +213,12 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "dataset_seed": (7, _SEED),
         "steps": (20000, _int_in()),
         "seed": (17, _SEED),
-        "learning_rate": (TrainConfig.learning_rate, _float_in()),
-        "momentum": (TrainConfig.momentum, _float_in()),
-        "minibatch": (TrainConfig.minibatch, _int_in()),
-        "baseline_lr_scale": (TrainConfig.baseline_lr_scale, _float_in()),
-        "variance_decay": (EstimatorConfig.baseline_decay, _float_in()),
+        **_TRAINER,
         "estimator": ("muprop", _string),
         **_ESTIMATOR,
         "baseline_hidden": (32, _int_in(1, 256)),
         "g_hidden": (32, _int_in(1, 256)),
         "g_act": ("tanh", _string),
-        "freeze_g": (TrainConfig.freeze_g, _bool),
         "write_checkpoint": (True, _bool),
         "write_dataset": (True, _bool),
         "out": (".", _string),
@@ -437,13 +439,9 @@ def _run_hyper(cfg: dict) -> int:
 
 def _run_train(cfg: dict) -> int:
     try:
-        est = _estimator(cfg, cfg["estimator"],
-                         baseline_decay=cfg["variance_decay"])
-        tc = TrainConfig(estimator=est, steps=cfg["steps"], seed=cfg["seed"],
-                         learning_rate=cfg["learning_rate"],
-                         momentum=cfg["momentum"], minibatch=cfg["minibatch"],
-                         baseline_lr_scale=cfg["baseline_lr_scale"],
-                         freeze_g=cfg["freeze_g"])
+        tc = TrainConfig(estimator=_estimator(cfg, cfg["estimator"]),
+                         steps=cfg["steps"], seed=cfg["seed"],
+                         **{k: cfg[k] for k in _TRAINER})
         if cfg["dataset"] is not None:
             try:
                 data = load_dataset(cfg["dataset"])
@@ -451,9 +449,9 @@ def _run_train(cfg: dict) -> int:
                 raise ConfigError("dataset: %s" % e)
         else:
             data = bars_dataset(cfg["dataset_count"], cfg["dataset_seed"])
-        if cfg["minibatch"] > data.shape[0]:
+        if tc.minibatch > data.shape[0]:
             raise ConfigError("minibatch %d exceeds the dataset's %d rows"
-                              % (cfg["minibatch"], data.shape[0]))
+                              % (tc.minibatch, data.shape[0]))
         model, qnet, baselines = build_toy(
             tuple(cfg["widths"]), data.shape[1], cfg["seed"],
             baseline_hidden=cfg["baseline_hidden"], g_hidden=cfg["g_hidden"],

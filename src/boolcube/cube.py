@@ -199,7 +199,8 @@ class SubsetIndex:
 
     @classmethod
     def full(cls, n: int) -> "SubsetIndex":
-        return cls((1 << n) - 1)
+        _check_count("n", n, 0)
+        return cls((1 << int(n)) - 1)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -222,7 +223,8 @@ class SubsetIndex:
         return SubsetIndex(self.mask & ~(1 << _member(i)))
 
     def valid_for(self, n: int) -> bool:
-        return self.mask < (1 << n)
+        _check_count("n", n, 0)
+        return self.mask < (1 << int(n))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)

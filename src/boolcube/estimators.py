@@ -79,8 +79,8 @@ class EstimatorConfig:
     rho is the keep-probability of the correlated resampler, in [0, 1];
     kinds that divide by it need rho > 0.  t_rho_samples is the inner
     Monte Carlo count k.  alpha scales the first-order term and beta the
-    smoothing-based variate in `combined`.  baseline_decay drives only
-    the trainer's per-layer gradient variance track.
+    smoothing-based variate in `combined`.  The trainer's settings,
+    its variance-track decay among them, belong to `sbn.TrainConfig`.
 
     exact_inner replaces inner Monte Carlo by the exactly smoothed
     function (k is then ignored).  taylor_at_sample switches `combined`
@@ -92,7 +92,6 @@ class EstimatorConfig:
     alpha: float = 1.0
     beta: float = 1.0
     t_rho_samples: int = 1
-    baseline_decay: float = 0.99
     exact_inner: bool = False
     taylor_at_sample: bool = False
 
@@ -109,8 +108,6 @@ class EstimatorConfig:
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         _check_count("t_rho_samples", self.t_rho_samples, 1)
-        if not 0.0 <= self.baseline_decay < 1.0:
-            raise ValueError("baseline_decay must lie in [0, 1)")
         if self.taylor_at_sample and self.kind != "combined":
             raise ValueError("taylor_at_sample applies only to kind 'combined'")
 
@@ -121,10 +118,9 @@ class EstimatorConfig:
             flags += ";exact_inner"
         if self.taylor_at_sample:
             flags += ";taylor_at_sample"
-        return "%s[rho=%s;alpha=%s;beta=%s;k=%d;decay=%s%s]" % (
+        return "%s[rho=%s;alpha=%s;beta=%s;k=%d%s]" % (
             self.kind, repr(float(self.rho)), repr(float(self.alpha)),
-            repr(float(self.beta)), self.t_rho_samples,
-            repr(float(self.baseline_decay)), flags)
+            repr(float(self.beta)), self.t_rho_samples, flags)
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,6 @@ class MLP:
             raise ValueError("sizes must end in a scalar head")
         self.layers = [Affine(rng, sizes[i], sizes[i + 1])
                        for i in range(len(sizes) - 1)]
-        self.act_name = hidden_act
         self._act, self._dact = _act(hidden_act)
 
     def forward(self, x: np.ndarray):
@@ -184,17 +183,15 @@ class Momentum:
             start += p.size
         self._vel = np.zeros(start)
 
-    def ascend(self, grads: list[np.ndarray], lr: float | np.ndarray):
-        """Move every parameter along its gradient: grads holds them in
-        parameter order, one array per parameter or already concatenated
-        into flat pieces.  lr is one rate, or one rate per element of
-        that flat order."""
-        g = np.concatenate([a.ravel() for a in grads])
-        if g.size != self._vel.size:
+    def ascend(self, grad: np.ndarray, lr: float | np.ndarray):
+        """Move every parameter along its gradient: grad is one flat
+        vector, the parameters' gradients concatenated in parameter
+        order.  lr is one rate, or one rate per element of that order."""
+        if grad.shape != self._vel.shape:
             raise ValueError("gradient size mismatch")
         v = self._vel
         v *= self.momentum
-        v += g
+        v += grad
         step = lr * v
         for flat, sl in self._views:
             flat += step[sl]

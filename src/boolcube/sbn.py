@@ -148,6 +148,9 @@ class SbnBaselines:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every trainer setting, owned here alone.  variance_decay decays the
+    gradient-variance EMA `Trainer._track` reports, not the ascent."""
+
     estimator: EstimatorConfig
     steps: int
     seed: int
@@ -156,6 +159,7 @@ class TrainConfig:
     minibatch: int = 24
     baseline_lr_scale: float = 0.1
     freeze_g: bool = False
+    variance_decay: float = 0.99
 
     def __post_init__(self):
         if not _is_integer(self.seed) or self.seed < 0:
@@ -168,17 +172,19 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+        if not 0.0 <= self.variance_decay < 1.0:
+            raise ValueError("variance_decay must lie in [0, 1)")
         if self.estimator.exact_inner:
             raise ValueError("exact_inner estimators are for enumeration "
                              "oracles, not training")
 
     def summary(self) -> str:
         return ("estimator=%s steps=%d seed=%d lr=%s momentum=%s minibatch=%d "
-                "baseline_lr_scale=%s freeze_g=%s"
+                "baseline_lr_scale=%s freeze_g=%s variance_decay=%s"
                 % (self.estimator.label(), self.steps, self.seed,
                    repr(float(self.learning_rate)), repr(float(self.momentum)),
                    self.minibatch, repr(float(self.baseline_lr_scale)),
-                   self.freeze_g))
+                   self.freeze_g, repr(float(self.variance_decay))))
 
 
 def build_toy(widths: tuple[int, ...], obs_dim: int, seed: int,
@@ -420,7 +426,7 @@ class Trainer:
             self._ema[li] = [flat.copy(), np.zeros_like(flat)]
             return LOG_VAR_FLOOR
         m, v = st
-        d = self.cfg.estimator.baseline_decay
+        d = self.cfg.variance_decay
         innov = flat - m
         v *= d
         v += (1.0 - d) * innov * innov
@@ -471,7 +477,7 @@ class Trainer:
         if not np.isfinite(flat).all():
             raise TrainingDiverged(step_index, "gradient")
 
-        self.mom.ascend([flat], self._rates)
+        self.mom.ascend(flat, self._rates)
         return float(R.mean()), logvars
 
 

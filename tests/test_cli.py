@@ -247,6 +247,40 @@ def test_train_header_with_dataset_file_omits_generator_keys(tmp_path, capsys):
     assert not (out_dir / "train_dataset.txt").exists()
 
 
+def test_variance_decay_is_the_trainers_alone(tmp_path, capsys):
+    # TrainConfig owns the decay of the reported variance track: it moves
+    # the log_var_layer columns and nothing on the parameters' path, and
+    # bench, which tracks no EMA, writes no decay
+    runs = {}
+    for name, over in (("default", {}), ("half", {"variance_decay": 0.5})):
+        cfgp = train_config(tmp_path, widths=[3, 2], **over)
+        code, _ = run(capsys, "train", "--config", cfgp,
+                      "--out", str(tmp_path / name))
+        assert code == 0
+        runs[name] = [read(tmp_path / name / f) for f in (
+            "train_metrics.csv", "train_checkpoint.txt", "train_dataset.txt")]
+    (metrics, ckpt, data), (half, half_ckpt, half_data) = runs.values()
+    assert (ckpt, data) == (half_ckpt, half_data)
+    metrics, half = metrics.splitlines(), half.splitlines()
+    assert "variance_decay=0.99" in metrics[0]
+    assert "variance_decay=0.5" in half[0]
+    assert metrics[1].endswith(" freeze_g=False variance_decay=0.99")
+    assert half[1].endswith(" freeze_g=False variance_decay=0.5")
+    assert metrics[2] == half[2] == "step,elbo,log_var_layer1,log_var_layer2"
+    rows = [row.split(",") for row in metrics[3:]]
+    half_rows = [row.split(",") for row in half[3:]]
+    assert [r[:2] for r in rows] == [r[:2] for r in half_rows]
+    # step 0 reports the floor under any decay; every later entry moves
+    assert rows[0][2:] == half_rows[0][2:]
+    assert all(a != b for r, h in zip(rows[1:], half_rows[1:])
+               for a, b in zip(r[2:], h[2:]))
+    code, _ = run(capsys, "bench", "--function", "maj(3)", "--trials", "1000",
+                  "--out", str(tmp_path / "bench"))
+    assert code == 0
+    for kind in ("reinforce", "fourier_cv"):
+        assert "decay" not in read(tmp_path / "bench" / ("bench_%s.csv" % kind))
+
+
 def test_train_missing_dataset_exits_2(tmp_path, capsys):
     cfgp = train_config(tmp_path, dataset=str(tmp_path / "nope.txt"))
     code, out = run(capsys, "train", "--config", cfgp, "--out", str(tmp_path))
@@ -426,7 +460,7 @@ _LIBRARY_OWNED = [
     ("bench", {"rho": 1.5}, "rho must lie in [0, 1]"),
     ("bench", {"rho": 0, "estimators": ["fourier_cv"]}, "divides by rho"),
     ("bench", {"trials": 1}, "trials must be at least 2"),
-    ("train", {"variance_decay": 1.0}, "baseline_decay must lie in [0, 1)"),
+    ("train", {"variance_decay": 1.0}, "variance_decay must lie in [0, 1)"),
     ("train", {"momentum": 1.0}, "momentum must lie in [0, 1)"),
     ("train", {"learning_rate": 0}, "learning rates must be positive"),
     ("train", {"steps": 0}, "steps and minibatch must be positive"),

@@ -828,6 +828,14 @@ SETTINGS = [
      "coordinate -1 is not a non-negative integer"),
     ("SubsetIndex.without-float", lambda: SubsetIndex(3).without(0.5),
      "coordinate 0.5 is not a non-negative integer"),
+    ("SubsetIndex.full-negative", lambda: SubsetIndex.full(-1),
+     "n must be at least 0"),
+    ("SubsetIndex.full-float", lambda: SubsetIndex.full(2.5),
+     "n must be an integer"),
+    ("SubsetIndex.full-bool", lambda: SubsetIndex.full(True),
+     "n must be an integer"),
+    ("SubsetIndex.valid_for-negative", lambda: SubsetIndex(3).valid_for(-1),
+     "n must be at least 0"),
     ("index_to_point-index-float", lambda: index_to_point(2.5, 3),
      "index must be an integer"),
     ("hypercontractivity_check-rho-nan",
@@ -848,6 +856,11 @@ SETTINGS = [
      "seed must be a non-negative integer"),
     ("TrainConfig-seed-float", lambda: cfg_train(seed=1.5),
      "seed must be a non-negative integer"),
+    ("TrainConfig-variance_decay-one", lambda: cfg_train(variance_decay=1.0),
+     "variance_decay must lie in [0, 1)"),
+    ("TrainConfig-variance_decay-nan",
+     lambda: cfg_train(variance_decay=np.nan),
+     "variance_decay must lie in [0, 1)"),
     ("SbnModel-width-float", lambda: SbnModel((2.7,), 6, fresh_rng()),
      "widths and obs_dim must be integers"),
     ("SbnModel-obs_dim-float", lambda: SbnModel((2,), 6.0, fresh_rng()),
@@ -886,6 +899,8 @@ def test_numpy_integer_counts_are_accepted():
     assert SubsetIndex.of([np.int64(70), 1]) == SubsetIndex((1 << 70) | 2)
     assert SubsetIndex(6).contains(np.uint8(2))
     assert SubsetIndex(6).without(np.int32(1)) == SubsetIndex(4)
+    assert SubsetIndex.full(np.int64(70)) == SubsetIndex((1 << 70) - 1)
+    assert SubsetIndex(5).valid_for(np.uint8(3))
     assert stream(np.int64(5), np.uint8(2)).random() == stream(5, 2).random()
     assert cfg_train(seed=np.int64(3)).seed == 3
     assert SbnModel((np.int64(2),), np.int32(6), fresh_rng()).widths == (2,)

@@ -670,8 +670,11 @@ def test_config_validation():
         EstimatorConfig("reinforce", alpha=np.inf)
     with pytest.raises(ValueError):
         EstimatorConfig("fourier_cv", t_rho_samples=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig("reinforce", baseline_decay=1.0)
+    # only what the kernel and the cube front ends read; the trainer's
+    # variance-track decay is TrainConfig's
+    assert [f.name for f in dataclasses.fields(EstimatorConfig)] == [
+        "kind", "rho", "alpha", "beta", "t_rho_samples", "exact_inner",
+        "taylor_at_sample"]
     with pytest.raises(ValueError, match="combined"):
         EstimatorConfig("muprop", taylor_at_sample=True)
     # rho = 0 is legal where no division by rho happens
@@ -680,13 +683,13 @@ def test_config_validation():
 
 def test_config_label_golden():
     cfg = EstimatorConfig("fourier_cv", rho=0.5)
-    assert cfg.label() == "fourier_cv[rho=0.5;alpha=1.0;beta=1.0;k=1;decay=0.99]"
+    assert cfg.label() == "fourier_cv[rho=0.5;alpha=1.0;beta=1.0;k=1]"
     cfg = EstimatorConfig("combined", exact_inner=True)
     assert cfg.label().endswith(";exact_inner]")
     assert "," not in cfg.label()
     cfg = EstimatorConfig("combined", taylor_at_sample=True)
     assert cfg.label() == ("combined[rho=0.5;alpha=1.0;beta=1.0;k=1;"
-                           "decay=0.99;taylor_at_sample]")
+                           "taylor_at_sample]")
 
 
 def test_enumeration_oracles_at_max_n_match_exact_gradient():

@@ -176,10 +176,10 @@ def test_mlp_refuses_sign_bits_and_reads_float_rows_in_place():
 def test_momentum_hand_sequence():
     p = np.array([1.0, -1.0])
     opt = Momentum([p], momentum=0.5)
-    opt.ascend([np.array([2.0, 0.0])], lr=0.1)
+    opt.ascend(np.array([2.0, 0.0]), lr=0.1)
     # velocity 2.0 -> step 0.2
     assert p == pytest.approx([1.2, -1.0], abs=1e-15)
-    opt.ascend([np.array([0.0, 1.0])], lr=0.1)
+    opt.ascend(np.array([0.0, 1.0]), lr=0.1)
     # velocity halves to 1.0 and picks up the new gradient
     assert p == pytest.approx([1.3, -0.9], abs=1e-15)
 
@@ -188,7 +188,7 @@ def test_momentum_updates_in_place_and_validates():
     net = MLP(stream(49), sizes=(2, 3, 1))
     opt = Momentum(net.params(), momentum=0.9)
     before = [p.copy() for p in net.params()]
-    opt.ascend([np.ones_like(p) for p in net.params()], lr=0.01)
+    opt.ascend(np.ones(sum(p.size for p in net.params())), lr=0.01)
     for b, p in zip(before, net.params()):
         assert np.max(np.abs(p - b - 0.01)) < 1e-15
     with pytest.raises(ValueError):
@@ -197,4 +197,4 @@ def test_momentum_updates_in_place_and_validates():
         Momentum([np.zeros((3, 4))[:, ::2]], momentum=0.9)
     assert str(err.value) == "parameters must be C-contiguous"
     with pytest.raises(ValueError):
-        opt.ascend([np.ones(3)], lr=0.1)
+        opt.ascend(np.ones(3), lr=0.1)

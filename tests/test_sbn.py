@@ -373,9 +373,8 @@ def tracked(series, decay):
     """What Trainer._track reports for layer 0 at each row of series."""
     model, qnet, baselines = build_toy((4,), 36, seed=65,
                                        baseline_hidden=8, g_hidden=8)
-    cfg = TrainConfig(estimator=EstimatorConfig("reinforce",
-                                                baseline_decay=decay),
-                      steps=1, seed=65)
+    cfg = TrainConfig(estimator=EstimatorConfig("reinforce"), steps=1,
+                      seed=65, variance_decay=decay)
     trainer = Trainer(model, qnet, baselines, cfg)
     return np.array([trainer._track(0, np.array(row, dtype=np.float64))
                      for row in series])
@@ -406,13 +405,13 @@ def test_online_track_equals_batch_track(monkeypatch):
     monkeypatch.setattr("boolcube.sbn.Trainer", Recording)
     model, qnet, baselines = build_toy((4, 3), 36, seed=66,
                                        baseline_hidden=8, g_hidden=8)
-    cfg = TrainConfig(estimator=EstimatorConfig("combined", rho=0.5,
-                                                baseline_decay=0.9),
-                      steps=60, seed=67, learning_rate=0.02, minibatch=4)
+    cfg = TrainConfig(estimator=EstimatorConfig("combined", rho=0.5),
+                      steps=60, seed=67, learning_rate=0.02, minibatch=4,
+                      variance_decay=0.9)
     res = train(model, qnet, baselines, bars_dataset(16, seed=7), cfg)
     assert sorted(seen) == [0, 1]
     for li, series in seen.items():
-        _, v = ema_loop(np.array(series), cfg.estimator.baseline_decay)
+        _, v = ema_loop(np.array(series), cfg.variance_decay)
         with np.errstate(divide="ignore"):
             want = np.maximum(np.log(v.mean(axis=1)), LOG_VAR_FLOOR)
         assert np.max(np.abs(res.log_variance[:, li] - want)) < 1e-12, li
@@ -571,6 +570,8 @@ def test_train_config_validation():
         TrainConfig(estimator=est, steps=10, seed=1, learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(estimator=est, steps=10, seed=1, momentum=1.0)
+    with pytest.raises(ValueError, match=r"variance_decay must lie in \[0, 1\)"):
+        TrainConfig(estimator=est, steps=10, seed=1, variance_decay=1.0)
     with pytest.raises(ValueError, match="exact_inner"):
         TrainConfig(estimator=EstimatorConfig("fourier_cv", exact_inner=True),
                     steps=10, seed=1)
@@ -578,9 +579,9 @@ def test_train_config_validation():
     cfg = TrainConfig(estimator=est, steps=10, seed=1)
     assert cfg.summary().startswith("estimator=reinforce[")
     assert "steps=10" in cfg.summary()
-    # one decay, the estimator's, printed in its label
-    assert "variance_decay" not in cfg.summary()
-    assert "decay=0.99" in cfg.estimator.label()
+    # one decay, the trainer's, printed last in its summary
+    assert cfg.summary().endswith(" variance_decay=0.99")
+    assert "decay" not in cfg.estimator.label()
 
 
 # ---------------------------------------------------------------------------
