@@ -449,9 +449,7 @@ def _run_train(cfg: dict) -> int:
                 raise ConfigError("dataset: %s" % e)
         else:
             data = bars_dataset(cfg["dataset_count"], cfg["dataset_seed"])
-        if tc.minibatch > data.shape[0]:
-            raise ConfigError("minibatch %d exceeds the dataset's %d rows"
-                              % (tc.minibatch, data.shape[0]))
+        tc.check_rows(data.shape[0])
         model, qnet, baselines = build_toy(
             tuple(cfg["widths"]), data.shape[1], cfg["seed"],
             baseline_hidden=cfg["baseline_hidden"], g_hidden=cfg["g_hidden"],

@@ -223,8 +223,10 @@ class SubsetIndex:
         return SubsetIndex(self.mask & ~(1 << _member(i)))
 
     def valid_for(self, n: int) -> bool:
-        _check_count("n", n, 0)
-        return self.mask < (1 << int(n))
+        if type(n) is not int or n < 0:  # a non-negative int needs no check
+            _check_count("n", n, 0)
+            n = int(n)
+        return not self.mask >> n
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)

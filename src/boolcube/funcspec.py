@@ -17,11 +17,15 @@ Forms:
 
 Whitespace between tokens is ignored.  Parsing never throws anything but
 FunctionSpecError, and the error carries the byte offset it occurred at.
-parse -> canonical() -> parse is a fixed point.
+parse -> canonical() -> parse is a fixed point.  A `poly` term with plain
+decimal indices is read whole by one compiled pattern; any other term, or
+one that breaks a rule, is read again by the character-level cursor,
+which writes every error message and offset.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -33,10 +37,20 @@ from .rng import stream
 
 __all__ = ["FunctionSpecError", "FunctionSpec", "parse_function"]
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# One way to match each number, so a term `_TERM` refuses costs time
+# linear in its length.
+_NUMBER = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
 _INT = re.compile(r"[-+]?\d+")
 _NAME = re.compile(r"[A-Za-z_]+")
 _HEX = re.compile(r"[0-9a-fA-F]+")
+# A whole poly term with indices of one to four ASCII digits, and the `;`
+# that may follow.  It reads each token as the cursor does: a shorter
+# coefficient or index is followed by a digit, `.`, `e` or a sign, which
+# no next token accepts.  A longer index (padded, out of range or past
+# int()'s digit limit) is left to the cursor.
+_TERM = re.compile(r"\s*(%s)\s*\*\s*\[\s*((?:[0-9]{1,4}\s*,\s*)*"
+                   r"[0-9]{1,4}\s*)?\]\s*(;?)" % _NUMBER.pattern)
+_INDEX = re.compile(r"[0-9]+")
 
 
 class FunctionSpecError(ValueError):
@@ -197,6 +211,38 @@ def _argument(cur: _Cursor, what: str, *rules, number: bool = False):
     return value
 
 
+def _poly_term(cur: _Cursor, seen: set[tuple[int, ...]]
+               ) -> tuple[tuple[int, ...], float, bool]:
+    """Read one poly term and the `;` after it, if any: its sorted indices,
+    its coefficient and whether a `;` followed.  A term `_TERM` matches
+    whole is checked here; any other term, or one a check refuses, is read
+    again from its start by the cursor, which reports every error.  Each
+    check here has a copy in the cursor's reading (`number`,
+    `_index_list`, the monomial check below) that must change with it;
+    the grammar error table pins every one."""
+    m = _TERM.match(cur.text, cur.i)
+    if m:
+        coeff = float(m[1])
+        members = tuple(sorted(map(int, _INDEX.findall(m[2] or ""))))
+        if (math.isfinite(coeff) and (not members or members[-1] < MAX_N)
+                and len(set(members)) == len(members)
+                and members not in seen):
+            cur.i = m.end()
+            return members, coeff, bool(m[3])
+    coeff = cur.number("coefficient")
+    cur.take("*")
+    cur.take("[")
+    ix_at = cur.i
+    members = tuple(sorted(_index_list(cur, "]")))
+    cur.take("]")
+    if members in seen:
+        cur.fail("duplicate monomial", ix_at)
+    more = cur.peek() == ";"
+    if more:
+        cur.take(";")
+    return members, coeff, more
+
+
 def _dimension(n: int) -> bool:
     return 1 <= n <= MAX_N
 
@@ -212,24 +258,13 @@ def parse_function(text: str) -> FunctionSpec:
         terms: list[tuple[tuple[int, ...], float]] = []
         seen: set[tuple[int, ...]] = set()
         while True:
-            if cur.peek() == "}" and not terms:
+            if not terms and cur.peek() == "}":
                 cur.fail("poly needs at least one term")
-            coeff = cur.number("coefficient")
-            cur.take("*")
-            cur.take("[")
-            ix_at = cur.i
-            members = tuple(sorted(_index_list(cur, "]")))
-            cur.take("]")
-            if members in seen:
-                cur.fail("duplicate monomial", ix_at)
+            members, coeff, more = _poly_term(cur, seen)
             seen.add(members)
             terms.append((members, coeff))
-            if cur.peek() == ";":
-                cur.take(";")
-                if cur.peek() == "}":
-                    break
-                continue
-            break
+            if not more or cur.peek() == "}":
+                break
         cur.take("}")
         terms.sort(key=lambda t: (len(t[0]), t[0]))
         top = max((ix[-1] for ix, _ in terms if ix), default=-1)

@@ -178,6 +178,12 @@ class TrainConfig:
             raise ValueError("exact_inner estimators are for enumeration "
                              "oracles, not training")
 
+    def check_rows(self, rows: int) -> None:
+        """Refuse a dataset of fewer rows than one minibatch."""
+        if self.minibatch > rows:
+            raise ValueError("minibatch %d exceeds the dataset's %d rows"
+                             % (self.minibatch, rows))
+
     def summary(self) -> str:
         return ("estimator=%s steps=%d seed=%d lr=%s momentum=%s minibatch=%d "
                 "baseline_lr_scale=%s freeze_g=%s variance_decay=%s"
@@ -517,8 +523,7 @@ def train(model: SbnModel, qnet: InferenceNet, baselines: SbnBaselines,
     """
     data = np.asarray(data, dtype=np.float64)
     N, B = data.shape[0], cfg.minibatch
-    if B > N:
-        raise ValueError("minibatch exceeds dataset size")
+    cfg.check_rows(N)
     per_epoch = N // B
     L = len(model.widths)
     trainer = Trainer(model, qnet, baselines, cfg)

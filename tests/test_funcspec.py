@@ -1,5 +1,7 @@
 """Function mini-language: grammar, canonical forms, built tables."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,19 @@ _TOO_LONG = "bad %s '" + "1" * 20 + "...' (5000 digits)"
     ("poly{1e999*[0]}", 5, "non-finite coefficient"),
     ("poly{%s*[0]}" % _LONG, 5, "non-finite coefficient"),
     ("poly{1*[0]", 10, "expected '}'"),
+    # each poly rule also where a term would otherwise be well formed
+    ("poly{ }", 6, "poly needs at least one term"),
+    ("poly{1*[16]}", 8, "coordinate index 16 exceeds the supported range"),
+    ("poly{1*[%s]}" % ("1" * 4301), 8,
+     "bad coordinate index '" + "1" * 20 + "...' (4301 digits)"),
+    ("poly{1*[-1]}", 8, "coordinate index must be non-negative"),
+    ("poly{1*[2,2]}", 10, "duplicate coordinate index 2"),
+    ("poly{1*[1,0];2*[0,1]}", 16, "duplicate monomial"),
+    ("poly{1*[0];\n2 * [\u30000 ]}", 17, "duplicate monomial"),
+    ("poly{1*[0]; 1e999*[1]}", 12, "non-finite coefficient"),
+    ("poly{1*[0];;}", 11, "expected coefficient"),
+    ("poly{1*[0,]}", 10, "expected coordinate index"),
+    ("poly{1*[0] 2*[1]}", 11, "expected '}'"),
     ("table(abc)", 6,
      "hex length must encode a power-of-two table of at least 4 entries"),
     (_TOO_LARGE, 6, "table too large"),
@@ -263,6 +278,14 @@ def test_grammar_error_table(text, offset, message):
     ("poly{-0.5*[0,1,2];0.5*[0]}", "poly{0.5*[0];-0.5*[0,1,2]}", 3),
     ("poly{2*[]}", "poly{2.0*[]}", 1),
     ("poly{1e-3*[];-2*[6]}", "poly{0.001*[];-2.0*[6]}", 7),
+    ("poly{\t1 *\n[\x1c0 ,\u30002\t]\x1c;\n-2\u3000*[ 1\n]\t}",
+     "poly{-2.0*[1];1.0*[0,2]}", 3),
+    ("poly{1*[0];}", "poly{1.0*[0]}", 1),
+    ("poly{ 1*[0] ;\t}", "poly{1.0*[0]}", 1),
+    ("poly{ 1 * [ ] }", "poly{1.0*[]}", 1),
+    ("poly{1*[007]}", "poly{1.0*[7]}", 8),
+    ("poly{1*[+3]}", "poly{1.0*[3]}", 4),
+    ("poly{1*[\u0663]}", "poly{1.0*[3]}", 4),  # ARABIC-INDIC DIGIT THREE
     ("table(1E)", "table(1e)", 3),
     ("table(0123456789abcdef)", "table(0123456789abcdef)", 6),
     ("randpoly(6, 3, 0.5, 17)", "randpoly(6,3,0.5,17)", 6),
@@ -275,3 +298,41 @@ def test_grammar_form_table(text, canonical, n):
     assert (spec.canonical(), spec.n) == (canonical, n)
     assert spec.build().n == n
     assert parse_function(canonical) == spec
+
+
+def test_well_formed_poly_terms_never_reach_the_cursor(monkeypatch):
+    # a long poly in mixed whitespace is read term by term by one pattern;
+    # the character-level cursor serves only terms that pattern refuses
+    rng = np.random.default_rng(27)
+    subsets = sorted({tuple(sorted(rng.choice(16, rng.integers(0, 6),
+                                              replace=False).tolist()))
+                      for _ in range(4000)})[:1200]
+    assert len(subsets) == 1200
+    coeffs = rng.normal(size=len(subsets)).tolist()
+    spaces = ["", " ", "\t", "\n", "\x1c", "　"]
+    gap = lambda: "".join(rng.choice(spaces, rng.integers(0, 3)))
+    text = "poly{" + ";".join(
+        "%s%r%s*%s[%s%s]%s" % (gap(), c, gap(), gap(), gap(), (gap() + ","
+                               + gap()).join(map(str, rng.permutation(ix))),
+                               gap())
+        for ix, c in zip(subsets, coeffs)) + ";}"
+
+    def refuse(*args):
+        raise AssertionError("a well-formed term reached the cursor")
+
+    monkeypatch.setattr("boolcube.funcspec._Cursor.number", refuse)
+    spec = parse_function(text)
+    terms = sorted(zip(subsets, coeffs), key=lambda t: (len(t[0]), t[0]))
+    assert spec == FunctionSpec("poly", tuple(terms), 16)
+
+
+def test_a_long_refused_term_is_read_in_linear_time():
+    # a pattern with two ways to split a run of digits would try every
+    # split before refusing this term: seconds here, not a millisecond
+    text = "poly{" + "1" * 16000 + "}"
+    start = time.perf_counter()
+    with pytest.raises(FunctionSpecError) as err:
+        parse_function(text)
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.offset, err.value.message) == (
+        5, "non-finite coefficient")

@@ -508,6 +508,16 @@ def test_train_result_shapes_and_csv():
     assert len(lines) == 28
 
 
+def test_train_refuses_a_minibatch_larger_than_the_data():
+    # the one check, with the text the CLI reports before writing a file
+    data = bars_dataset(10, seed=7)
+    cfg = TrainConfig(estimator=EstimatorConfig("reinforce"), steps=5,
+                      seed=0)
+    with pytest.raises(ValueError) as err:
+        train(*build_toy((4,), 36, seed=62), data, cfg)
+    assert str(err.value) == "minibatch 24 exceeds the dataset's 10 rows"
+
+
 def test_frozen_zero_g_reproduces_reinforce():
     # with g identically zero and frozen, the smoothing variate vanishes
     # and the fourier_cv trajectory must match plain reinforce exactly
