@@ -367,10 +367,11 @@ def _run_gradcheck(cfg: dict) -> int:
         if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(numeric))):
             print("non-finite gradient on instance %d" % k)
             return 3
+        text = spec.canonical()
         for i in range(f.n):
             d = float(abs(exact[i] - numeric[i]))
             worst = max(worst, d)
-            lines.append("%d,%s,%d,%s,%s,%s" % (k, spec.canonical(), i,
+            lines.append("%d,%s,%d,%s,%s,%s" % (k, text, i,
                                                 repr(float(exact[i])),
                                                 repr(float(numeric[i])),
                                                 repr(float(d))))
@@ -471,12 +472,12 @@ def _run_train(cfg: dict) -> int:
           % (repr(float(result.elbo[:100].mean())),
              repr(float(result.elbo[-100:].mean()))))
     print("wrote %s" % path)
+    # _write has made the directory for train_metrics.csv.
     if cfg["write_dataset"] and cfg["dataset"] is None:
-        os.makedirs(cfg["out"], exist_ok=True)
-        save_dataset(os.path.join(cfg["out"], "train_dataset.txt"), data)
-        print("wrote %s" % os.path.join(cfg["out"], "train_dataset.txt"))
+        ds = os.path.join(cfg["out"], "train_dataset.txt")
+        save_dataset(ds, data)
+        print("wrote %s" % ds)
     if cfg["write_checkpoint"]:
-        os.makedirs(cfg["out"], exist_ok=True)
         ck = os.path.join(cfg["out"], "train_checkpoint.txt")
         save_checkpoint(ck, named_parameters(model, qnet, baselines))
         print("wrote %s" % ck)

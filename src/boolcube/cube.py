@@ -44,8 +44,11 @@ MAX_N = 16
 
 
 def _check_dimension(n: int) -> int:
-    """Refuse a dimension outside [1, MAX_N]: below 1 there is no cube,
-    above MAX_N the library does not allocate the 2^n arrays."""
+    """n as an int, refused unless it is an integer in [1, MAX_N]: int()
+    would truncate a float, below 1 there is no cube, and above MAX_N the
+    library does not allocate the 2^n arrays."""
+    if not _is_integer(n):
+        raise ValueError("dimension must be an integer, got %r" % (n,))
     if not 1 <= n <= MAX_N:
         raise ValueError("dimension %d lies outside the supported range "
                          "[1, %d]" % (n, MAX_N))

@@ -75,9 +75,8 @@ class BooleanFunction:
     """A real-valued function on {-1,+1}^n, held as its read-only truth
     table: entry m is the value at the point with bitmask m."""
 
-    def __init__(self, n: int, *, table: np.ndarray, name: str = ""):
+    def __init__(self, n: int, *, table: np.ndarray):
         self.n = _check_dimension(n)
-        self.name = name
         t = np.asarray(table, dtype=np.float64).reshape(-1).copy()
         if t.shape[0] != (1 << self.n):
             raise ValueError("truth table must have 2^n entries")
@@ -101,8 +100,7 @@ class BooleanFunction:
         return self._table[points_to_indices(xs)]
 
     def __repr__(self) -> str:
-        label = " %r" % self.name if self.name else ""
-        return "BooleanFunction(n=%d, table%s)" % (self.n, label)
+        return "BooleanFunction(n=%d, table)" % self.n
 
 
 class FourierExpansion:

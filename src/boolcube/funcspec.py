@@ -181,10 +181,9 @@ class FunctionSpec:
         if self.kind in ("dict", "parity", "poly", "randpoly"):
             # At p = 1/2, phi_i = x_i, so the monomial coefficients are
             # the expansion and the inverse butterfly gives the table.
-            table = inverse_transform(
+            return inverse_transform(
                 FourierExpansion._of_vector(self._poly_coefficients()),
-                ProductDistribution.uniform(n)).values()
-            return BooleanFunction(n, table=table, name=self.canonical())
+                ProductDistribution.uniform(n))
         pts = enumerate_points(n).astype(np.float64)
         if self.kind == "maj":
             table = np.sign(pts.sum(axis=1))
@@ -196,7 +195,7 @@ class FunctionSpec:
             nibbles = np.array([int(c, 16) for c in reversed(self.data[0])])
             bits = (nibbles[:, None] >> np.arange(4)) & 1
             table = 2.0 * bits.reshape(-1) - 1.0
-        return BooleanFunction(n, table=table, name=self.canonical())
+        return BooleanFunction(n, table=table)
 
 
 def _argument(cur: _Cursor, what: str, *rules, number: bool = False):

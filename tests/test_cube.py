@@ -13,6 +13,7 @@ from boolcube import (
     PROB_FLOOR,
     BooleanFunction,
     EstimatorConfig,
+    FourierExpansion,
     InferenceNet,
     MeanTaylor,
     ProbabilityClampWarning,
@@ -617,6 +618,16 @@ REFUSALS = [
      "dimension 17 lies outside the supported range [1, 16]"),
     ("enumerate_points", "dimension", lambda: enumerate_points(17),
      "dimension 17 lies outside the supported range [1, 16]"),
+    ("enumerate_points", "dimension-float", lambda: enumerate_points(2.5),
+     "dimension must be an integer, got 2.5"),
+    ("BooleanFunction", "dimension-float",
+     lambda: BooleanFunction(2.5, table=np.ones(4)),
+     "dimension must be an integer, got 2.5"),
+    ("BooleanFunction", "dimension-bool",
+     lambda: BooleanFunction(True, table=np.ones(2)),
+     "dimension must be an integer, got True"),
+    ("FourierExpansion", "dimension-float", lambda: FourierExpansion(3.9),
+     "dimension must be an integer, got 3.9"),
     ("index_to_point", "dimension", lambda: index_to_point(0, 0),
      "dimension 0 lies outside the supported range [1, 16]"),
     ("point_to_index", "value", lambda: point_to_index([1, 0, 1]), VALUE),
@@ -904,3 +915,4 @@ def test_numpy_integer_counts_are_accepted():
     assert stream(np.int64(5), np.uint8(2)).random() == stream(5, 2).random()
     assert cfg_train(seed=np.int64(3)).seed == 3
     assert SbnModel((np.int64(2),), np.int32(6), fresh_rng()).widths == (2,)
+    assert BooleanFunction(np.int64(2), table=np.ones(4)).n == 2

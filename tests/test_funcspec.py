@@ -195,11 +195,6 @@ def test_random_poly_specs_round_trip(n, data):
         assert abs(f.value(x) - want) < 1e-9
 
 
-def test_build_names_are_canonical():
-    f = parse_function("maj( 3 )").build()
-    assert f.name == "maj(3)"
-
-
 # Every rule the grammar enforces, with the offset and message it reports.
 # An offset is the cursor position before the refused token, so it falls
 # ahead of any whitespace that precedes the token.
