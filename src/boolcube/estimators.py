@@ -21,6 +21,9 @@ the caller's stream.  The oracles pass no stream and get the exact
 smoothed function, valid because every contribution is linear in the
 inner estimate (the variance oracle adds the conditional variance term
 in closed form).
+
+The front ends take the parts by keyword, as `contribution` lists them,
+and pass them on; the cube front end alone gives their defaults.
 """
 
 from __future__ import annotations
@@ -239,7 +242,7 @@ def derivative_tables(f: BooleanFunction) -> np.ndarray:
 
 def _contributions(cfg: EstimatorConfig, x: np.ndarray, p: np.ndarray,
                    mu: np.ndarray, *, f, g, smoothed, taylor, deriv,
-                   baseline=0.0) -> np.ndarray:
+                   baseline) -> np.ndarray:
     """(B, n) contributions of kind cfg.kind at the rows x, whose
     coordinates are +1 with probabilities p and have means mu = 2p - 1,
     each (n,) or (B, n).
@@ -249,8 +252,8 @@ def _contributions(cfg: EstimatorConfig, x: np.ndarray, p: np.ndarray,
     smoothed(r), T_r g at each row, sampled or exact (B,); taylor(),
     the integrand the first-order term expands at each row, its value
     at the mean and its gradient there, (n,) shared or (B, n) per row;
-    deriv(), the integrand's derivative at each row (B, n).  baseline
-    is a scalar or a (B,) array that must not depend on x.
+    deriv(), the integrand's derivative at each row (B, n); baseline(),
+    a scalar or (B,) that must not depend on x.
     """
     if cfg.kind == "straight_through":
         return 2.0 * deriv()
@@ -258,7 +261,7 @@ def _contributions(cfg: EstimatorConfig, x: np.ndarray, p: np.ndarray,
     if cfg.kind == "reinforce":
         return f()[:, None] * sc
     if cfg.kind == "reinforce_const_baseline":
-        return (f() - baseline)[:, None] * sc
+        return (f() - baseline())[:, None] * sc
     if cfg.kind == "fourier_cv":
         return (f() - g() + smoothed(cfg.rho) / cfg.rho)[:, None] * sc
     if cfg.kind == "fourier_cv_alt":
@@ -270,7 +273,7 @@ def _contributions(cfg: EstimatorConfig, x: np.ndarray, p: np.ndarray,
         return (fx - value - lin)[:, None] * sc + 2.0 * grad
     # combined
     variate = g() - smoothed(cfg.rho) / cfg.rho
-    t = fx - baseline - value - cfg.alpha * lin - cfg.beta * variate
+    t = fx - baseline() - value - cfg.alpha * lin - cfg.beta * variate
     out = t[:, None] * sc
     return out if cfg.taylor_at_sample else out + 2.0 * cfg.alpha * grad
 
@@ -303,7 +306,7 @@ def _smoothing_terms(cfg: EstimatorConfig) -> tuple[tuple[float, float], ...]:
             cfg, np.ones((2, 1)), np.ones(1), np.ones(1),
             f=lambda: np.zeros(2), g=lambda: np.zeros(2), smoothed=smoothed,
             taylor=lambda: (np.zeros(2), 0.0, np.zeros(1)),
-            deriv=lambda: np.zeros((2, 1)))
+            deriv=lambda: np.zeros((2, 1)), baseline=lambda: 0.0)
     return tuple((rho, float(out[j, 0])) for j, rho in enumerate(rates))
 
 
@@ -342,16 +345,14 @@ def _cube_contributions(cfg: EstimatorConfig, f: BooleanFunction,
         g=lambda: g.batch(xs), taylor=first_order, smoothed=lambda rho: (
             noise_exact(g, rho, dist).batch(xs) if exact else _smoothed_mc(
                 g.batch, xs, dist.probs, rho, cfg.t_rho_samples, rng)),
-        deriv=deriv, baseline=baseline)
+        deriv=deriv, baseline=lambda: baseline)
 
 
 def contribution(cfg: EstimatorConfig, f, x: np.ndarray,
-                 dist: ProductDistribution, rng=None, g=None,
-                 baseline: float = 0.0, taylor=None,
-                 derivs=None) -> np.ndarray:
+                 dist: ProductDistribution, rng=None, **parts) -> np.ndarray:
     """The contribution vector of kind cfg.kind at the point x.
 
-    The parts, each read only by the kinds that use it:
+    The parts, by keyword, each read only by the kinds that use it:
     - g: the surrogate, a table function, f by default;
     - baseline: a scalar that does not depend on x;
     - taylor: a `MeanTaylor`, f's exact one by default;
@@ -371,14 +372,12 @@ def contribution(cfg: EstimatorConfig, f, x: np.ndarray,
     0.060 ms with them.
     """
     return _cube_contributions(cfg, f, dist, point(x)[None, :], rng,
-                               g=g, baseline=baseline, taylor=taylor,
-                               derivs=derivs)[0]
+                               **parts)[0]
 
 
 def expected_value_by_enumeration(cfg: EstimatorConfig, f: BooleanFunction,
-                                  dist: ProductDistribution, g=None,
-                                  baseline: float = 0.0, taylor=None,
-                                  derivs=None) -> np.ndarray:
+                                  dist: ProductDistribution,
+                                  **parts) -> np.ndarray:
     """Exact expectation of the contribution vector.
 
     Enumerates all 2^n points with their probabilities; inner Monte
@@ -386,15 +385,13 @@ def expected_value_by_enumeration(cfg: EstimatorConfig, f: BooleanFunction,
     preserves the expectation because contributions are linear in the
     inner estimate.
     """
-    m = _cube_contributions(cfg, f, dist, enumerate_points(f.n), g=g,
-                            baseline=baseline, taylor=taylor, derivs=derivs)
+    m = _cube_contributions(cfg, f, dist, enumerate_points(f.n), **parts)
     return weights(dist) @ m
 
 
 def variance_by_enumeration(cfg: EstimatorConfig, f: BooleanFunction,
                             dist: ProductDistribution, g=None,
-                            baseline: float = 0.0, taylor=None,
-                            derivs=None) -> np.ndarray:
+                            **parts) -> np.ndarray:
     """Exact per-coordinate variance of the single-sample contribution.
 
     Law of total variance: the across-points variance of the exact
@@ -409,8 +406,7 @@ def variance_by_enumeration(cfg: EstimatorConfig, f: BooleanFunction,
     g = f if g is None else g
     pts = enumerate_points(f.n)
     w = weights(dist)
-    m = _cube_contributions(cfg, f, dist, pts, g=g, baseline=baseline,
-                            taylor=taylor, derivs=derivs)
+    m = _cube_contributions(cfg, f, dist, pts, g=g, **parts)
     mean = w @ m
     var = w @ (m * m) - mean * mean
     terms = () if cfg.exact_inner else _smoothing_terms(cfg)
@@ -426,14 +422,12 @@ def variance_by_enumeration(cfg: EstimatorConfig, f: BooleanFunction,
 
 def estimate_gradient(cfg: EstimatorConfig, f: BooleanFunction,
                       dist: ProductDistribution, batch: int, seed: int,
-                      g=None, baseline: float = 0.0, taylor=None,
-                      derivs=None) -> GradientEstimate:
+                      **parts) -> GradientEstimate:
     """Average `batch` single-sample contributions from a fresh stream."""
     _check_count("batch", batch, 1)
     rng = stream(seed)
     xs = sample(dist, rng, size=batch)
-    m = _cube_contributions(cfg, f, dist, xs, rng, g=g, baseline=baseline,
-                            taylor=taylor, derivs=derivs)
+    m = _cube_contributions(cfg, f, dist, xs, rng, **parts)
     return GradientEstimate(grad=m.mean(axis=0), batch=batch, seed=seed)
 
 
@@ -491,8 +485,7 @@ class VarianceReport:
 
 def benchmark_variance(cfg: EstimatorConfig, f: BooleanFunction,
                        dist: ProductDistribution, trials: int, seed: int,
-                       g=None, baseline: float = 0.0, taylor=None,
-                       derivs=None) -> VarianceReport:
+                       **parts) -> VarianceReport:
     """Empirical per-coordinate mean/variance over `trials` single samples.
 
     Takes a seed rather than a generator so the report pins its own
@@ -501,7 +494,6 @@ def benchmark_variance(cfg: EstimatorConfig, f: BooleanFunction,
     check_trials(trials)
     rng = stream(seed)
     xs = sample(dist, rng, size=trials)
-    m = _cube_contributions(cfg, f, dist, xs, rng, g=g, baseline=baseline,
-                            taylor=taylor, derivs=derivs)
+    m = _cube_contributions(cfg, f, dist, xs, rng, **parts)
     return VarianceReport(mean=m.mean(axis=0), variance=m.var(axis=0, ddof=1),
                           trials=trials, seed=seed, estimator=cfg)

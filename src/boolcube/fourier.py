@@ -343,6 +343,10 @@ def expansion_from_text(text: str) -> FourierExpansion:
                     n = int(body[2:])
                 except ValueError:
                     raise ValueError("line %d: bad dimension header %r" % (ln, raw))
+                try:
+                    n = _check_dimension(n)
+                except ValueError as e:
+                    raise ValueError("line %d: %s" % (ln, e))
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -374,7 +378,6 @@ def expansion_from_text(text: str) -> FourierExpansion:
     if n is None:
         top = max((S.members[-1] for S in coeffs if S.mask), default=-1)
         n = top + 1 if top >= 0 else 1
-    n = _check_dimension(n)
     for S, ln in lines.items():
         if not S.valid_for(n):
             raise ValueError("line %d: subset %s out of range for n=%d"

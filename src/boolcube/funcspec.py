@@ -184,17 +184,16 @@ class FunctionSpec:
             return inverse_transform(
                 FourierExpansion._of_vector(self._poly_coefficients()),
                 ProductDistribution.uniform(n))
-        pts = enumerate_points(n).astype(np.float64)
-        if self.kind == "maj":
-            table = np.sign(pts.sum(axis=1))
-        elif self.kind == "and":
-            table = np.where((pts > 0).all(axis=1), 1.0, -1.0)
-        else:  # table
+        if self.kind == "table":
             # Bit m of the hex integer is bit m % 4 of digit m // 4 from the
             # right; read digit by digit, since the integer may pass 64 bits.
             nibbles = np.array([int(c, 16) for c in reversed(self.data[0])])
             bits = (nibbles[:, None] >> np.arange(4)) & 1
             table = 2.0 * bits.reshape(-1) - 1.0
+        elif self.kind == "maj":
+            table = np.sign(enumerate_points(n).astype(np.float64).sum(axis=1))
+        else:  # and
+            table = np.where((enumerate_points(n) > 0).all(axis=1), 1.0, -1.0)
         return BooleanFunction(n, table=table)
 
 

@@ -345,9 +345,9 @@ class _Draw:
 
 
 def _layer_contributions(est: EstimatorConfig, draw: _Draw, li: int,
-                         b_val: np.ndarray, smoothed) -> np.ndarray:
+                         baseline, smoothed) -> np.ndarray:
     """Per-unit estimator contributions (units d/dp) for layer li, with
-    smoothed(rho) the smoothed g at each row."""
+    baseline() the b value and smoothed(rho) the smoothed g at each row."""
     x, p = draw.xs[li], draw.probs[li]
     mu = 2.0 * p - 1.0
 
@@ -360,17 +360,17 @@ def _layer_contributions(est: EstimatorConfig, draw: _Draw, li: int,
     return _contributions(
         est, x, p, mu, f=lambda: draw.R, g=lambda: draw.g_forward(li)[0],
         smoothed=smoothed, taylor=first_order,
-        deriv=lambda: draw.local_at_sample(li)[1], baseline=b_val)
+        deriv=lambda: draw.local_at_sample(li)[1], baseline=baseline)
 
 
 def _q_logit_rows(est: EstimatorConfig, draw: _Draw, li: int,
-                  b_val: np.ndarray, rng_inner: np.random.Generator):
+                  baseline, rng_inner: np.random.Generator):
     """A training step's per-row gradients in layer li's q logits: the
     layer's contributions, with the smoothed g from k resampled draws
     per row, times sigma'(t); the resampled sign bits become -1/+1 rows
     for the g net."""
     contrib = _layer_contributions(
-        est, draw, li, b_val, lambda rho: _smoothed_mc(
+        est, draw, li, baseline, lambda rho: _smoothed_mc(
             lambda bits: draw.baselines.g[li].value(np.where(bits, 1.0, -1.0)),
             draw.xs[li], draw.probs[li], rho, est.t_rho_samples, rng_inner))
     s = draw.raw[li]
@@ -467,7 +467,7 @@ class Trainer:
         # inference net, via the configured estimator
         logvars: list[float] = []
         for li in range(L):
-            grad_t = _q_logit_rows(est, draw, li, b_val, rng_inner)
+            grad_t = _q_logit_rows(est, draw, li, lambda: b_val, rng_inner)
             inp = y if li == 0 else xs[li - 1]
             gW, gb = (g / B for g in self.qnet.links[li].grads(inp, grad_t))
             grads.extend([gW, gb])
@@ -628,8 +628,8 @@ def expected_q_logit_gradient(model: SbnModel, qnet: InferenceNet,
         g = BooleanFunction(dist.n, table=draw.g_forward(0)[0])
         return noise_exact(g, rho, dist).values()
 
-    m = _layer_contributions(est, draw, 0, baselines.b.value(draw.y),
-                             smoothed)
+    m = _layer_contributions(est, draw, 0,
+                             lambda: baselines.b.value(draw.y), smoothed)
     raw = draw.raw[0][0]
     return (weights(dist) @ m) * raw * (1.0 - raw)
 
@@ -647,7 +647,7 @@ def sample_q_logit_gradients(model: SbnModel, qnet: InferenceNet,
     y_tiled = np.tile(np.asarray(y, dtype=np.float64), (samples, 1))
     draw = _Draw(model, qnet, baselines, y_tiled,
                  _sample_latents(model, qnet, y_tiled, stream(seed, 1, 0)))
-    return _q_logit_rows(est, draw, 0, baselines.b.value(y_tiled),
+    return _q_logit_rows(est, draw, 0, lambda: baselines.b.value(y_tiled),
                          stream(seed, 2, 0))
 
 

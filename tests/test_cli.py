@@ -1,6 +1,7 @@
 """Command-line front end: config resolution, artifacts, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -98,6 +99,18 @@ def test_gradcheck_within_a_step_of_the_probability_floor(p, tmp_path, capsys):
     assert code == 0, out
     rows = read(tmp_path / "gradcheck.csv").splitlines()[2:]
     assert max(float(row.split(",")[-1]) for row in rows) < 1e-9
+
+
+def test_gradcheck_function_null_in_config_is_the_default(tmp_path, capsys):
+    # "function": null asks for the generated instances, as no key does
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"function": None, "count": 2}))
+    code, _ = run(capsys, "gradcheck", "--config", str(cfgp),
+                  "--out", str(tmp_path / "a"))
+    assert code == 0
+    run(capsys, "gradcheck", "--trials", "2", "--out", str(tmp_path / "b"))
+    assert (read(tmp_path / "a" / "gradcheck.csv")
+            == read(tmp_path / "b" / "gradcheck.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +299,47 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
     code, out = run(capsys, "train", "--config", cfgp, "--out", str(tmp_path))
     assert code == 2
     assert "dataset" in out
+
+
+# ---------------------------------------------------------------------------
+# exit 3: a runner refuses a bad result of the library call it makes,
+# after writing what it had finished
+
+def _nan_for_fourier_cv(cfg, f, dist, trials, seed, **parts):
+    report = boolcube.benchmark_variance(cfg, f, dist, trials, seed, **parts)
+    if cfg.kind != "fourier_cv":
+        return report
+    return dataclasses.replace(report, mean=np.full(f.n, np.nan))
+
+
+def _violated(f, dist, q, rho):
+    report = boolcube.hypercontractivity_check(f, dist, q=q, rho=rho)
+    return dataclasses.replace(report, norm_q=report.norm_2 + 1.0)
+
+
+@pytest.mark.parametrize("argv, name, patch, line, written", [
+    (["gradcheck", "--function", "maj(3)"], "exact_gradient",
+     lambda f, dist: np.full(f.n, np.nan),
+     "non-finite gradient on instance 0", []),
+    (["gradcheck", "--function", "maj(3)"], "numeric_gradient",
+     lambda f, dist: np.zeros(f.n),
+     "gradient identity check FAILED (tolerance 1e-06)", ["gradcheck.csv"]),
+    (["bench", "--trials", "100"], "benchmark_variance", _nan_for_fourier_cv,
+     "non-finite benchmark results for fourier_cv", ["bench_reinforce.csv"]),
+    (["hyper", "--trials", "3"], "hypercontractivity_check", _violated,
+     "norm contraction violated", ["hyper.csv"]),
+    (["selftest"], "_selftest_checks",
+     lambda seed: [("kept", True, 0.0), ("broken", False, 1.5)],
+     "1 check(s) failed", ["selftest.csv"]),
+], ids=["gradcheck-non-finite", "gradcheck-tolerance", "bench", "hyper",
+        "selftest"])
+def test_refused_library_result_exits_3(argv, name, patch, line, written,
+                                        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("boolcube.cli." + name, patch)
+    code, out = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 3
+    assert out.splitlines()[-1] == line
+    assert sorted(os.listdir(tmp_path)) == written
 
 
 # ---------------------------------------------------------------------------

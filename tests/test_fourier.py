@@ -223,6 +223,11 @@ def test_expansion_text_errors_carry_line_numbers():
         expansion_from_text("# n=2\n0,0\t1.0\n")
     with pytest.raises(ValueError, match="line 3"):
         expansion_from_text("# n=2\n0\t0.5\n1\tnot_a_number\n")
+    # blank lines are skipped but still counted
+    assert expansion_from_text("# n=2\n\n0\t0.5\n \t\n").coefficient(
+        SubsetIndex.of([0])) == 0.5
+    with pytest.raises(ValueError, match="line 3"):
+        expansion_from_text("# n=2\n\n0,0\t1.0\n")
 
 
 def test_expansion_text_without_header_takes_n_from_its_indices():
@@ -247,6 +252,10 @@ def test_expansion_text_without_header_takes_n_from_its_indices():
      "line 1: bad dimension header '# n=x'"),
     (lambda: expansion_from_text("# n=3\n# n=5\n0\t1.0\n"),
      "line 2: repeated dimension header '# n=5'"),
+    (lambda: expansion_from_text("# n=17\n"),
+     "line 1: dimension 17 lies outside the supported range [1, 16]"),
+    (lambda: expansion_from_text("-\t1.0\n\n# n=0\n"),
+     "line 3: dimension 0 lies outside the supported range [1, 16]"),
     (lambda: expansion_from_text("# n=3\n-\t1.0\n0,5\t1.0\n"),
      "line 3: subset {0,5} out of range for n=3"),
     (lambda: expansion_from_text("0,5\t1.0\n# n=3\n"),

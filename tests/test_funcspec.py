@@ -90,6 +90,23 @@ def test_table_hex_matches_integer_shift(n, data):
                           2.0 * bits - 1.0)
 
 
+def test_table_build_does_not_enumerate_the_cube(monkeypatch):
+    # a table's entries are its hex digits' bits; only maj and and read
+    # the points, whose matrix would cost most of a 2^16-entry build
+    text = "table(%s)" % ("9e" * (1 << 13))
+    want = parse_function(text).build().values()
+
+    def refuse(n):
+        raise AssertionError("the build enumerated the cube")
+
+    monkeypatch.setattr("boolcube.funcspec.enumerate_points", refuse)
+    f = parse_function(text).build()
+    assert f.n == 16 and np.array_equal(f.values(), want)
+    assert np.array_equal(f.values()[:8], [-1, 1, 1, 1, 1, -1, -1, 1])
+    with pytest.raises(AssertionError, match="enumerated"):
+        parse_function("maj(3)").build()
+
+
 def test_table_size_validation():
     with pytest.raises(FunctionSpecError):
         parse_function("table(abc)")  # 12 bits, not a power of two
@@ -280,6 +297,7 @@ def test_grammar_error_table(text, offset, message):
     ("poly{ 1 * [ ] }", "poly{1.0*[]}", 1),
     ("poly{1*[007]}", "poly{1.0*[7]}", 8),
     ("poly{1*[+3]}", "poly{1.0*[3]}", 4),
+    ("poly{1*[+3];2*[1]}", "poly{2.0*[1];1.0*[3]}", 4),
     ("poly{1*[\u0663]}", "poly{1.0*[3]}", 4),  # ARABIC-INDIC DIGIT THREE
     ("table(1E)", "table(1e)", 3),
     ("table(0123456789abcdef)", "table(0123456789abcdef)", 6),

@@ -710,8 +710,10 @@ def test_checkpoint_refuses_a_repeated_tensor(tmp_path):
      "line 2: non-finite value in tensor model.prior"),
     ("model.prior\t2x2\t1.0 2.0 3.0", "line 2: 3 values for shape '2x2'"),
     ("model.prior\t\t", "line 2: 0 values for shape ''"),
+    ("\nmodel.prior\t2\t1.0 x", "line 3: bad value in tensor model.prior"),
 ], ids=["shape-negative", "shape-negative-2d", "shape-token", "value",
-        "value-nan", "value-inf", "value-minus-inf", "count", "count-scalar"])
+        "value-nan", "value-inf", "value-minus-inf", "count", "count-scalar",
+        "after-blank-line"])
 def test_checkpoint_refuses_a_malformed_line_by_number(tmp_path, line,
                                                        message):
     path = str(tmp_path / "ckpt.txt")
