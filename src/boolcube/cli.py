@@ -158,8 +158,8 @@ def _list_of(item):
 _SEED = _int_in(0)
 # TrainConfig's defaulted fields, each a train key with its default and
 # the coercer of the default's type.
-_TRAINER = {f.name: (f.default, _bool if isinstance(f.default, bool) else
-                     _int_in() if isinstance(f.default, int) else _float_in())
+_TRAINER = {f.name: (f.default, _int_in() if isinstance(f.default, int)
+                     else _float_in())
             for f in dataclasses.fields(TrainConfig)
             if f.default is not dataclasses.MISSING}
 # The estimator settings bench and train share, with EstimatorConfig's

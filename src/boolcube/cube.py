@@ -261,8 +261,11 @@ def point(coords: Iterable[float]) -> np.ndarray:
 
 
 def point_to_index(x: np.ndarray) -> int:
-    """Truth-table index of a point (x_i = +1 -> bit i set, little-endian)."""
-    return int(points_to_indices(point(x)))
+    """Truth-table index of a point (x_i = +1 -> bit i set, little-endian),
+    for the dimensions index_to_point takes."""
+    x = point(x)
+    _check_dimension(x.size)
+    return int(points_to_indices(x))
 
 
 def points_to_indices(xs: np.ndarray) -> np.ndarray:

@@ -102,6 +102,10 @@ class EstimatorConfig:
         if self.kind not in KINDS:
             raise ValueError("unknown estimator kind %r (expected one of %s)"
                              % (self.kind, ", ".join(KINDS)))
+        for name in ("exact_inner", "taylor_at_sample"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError("%s must be a bool, got %r"
+                                 % (name, getattr(self, name)))
         if not np.isfinite(self.rho) or not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
         if self.rho == 0.0 and not all(

@@ -15,7 +15,9 @@ logits are network-nonlinear.  First-order kinds expand the terms that
 involve layer l at the conditional mean; smoothing kinds resample the
 layer's g net.  Contributions (units d/dp) convert to logit gradients
 via sigma'(t), then to parameter gradients.  Decoder and prior are
-updated pathwise; baseline nets by regression.
+updated pathwise; the b net by regression for every kind, and a layer's
+g net by regression only for the smoothing kinds, the only ones that
+read it.
 
 The exact oracles of a single-layer model (enumerate_elbo,
 expected_q_logit_gradient) run the step's own code on one draw whose
@@ -37,9 +39,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cube import (MAX_N, PROB_FLOOR, ProductDistribution, _is_integer,
-                   enumerate_points, weights)
-from .estimators import EstimatorConfig, _contributions, _score
+from .cube import (MAX_N, PROB_FLOOR, ProductDistribution, _check_count,
+                   _is_integer, enumerate_points, weights)
+from .estimators import (EstimatorConfig, _contributions, _score,
+                         _smoothing_terms)
 from .fourier import BooleanFunction
 from .nets import (
     MLP,
@@ -149,7 +152,8 @@ class SbnBaselines:
 @dataclass(frozen=True)
 class TrainConfig:
     """Every trainer setting, owned here alone.  variance_decay decays the
-    gradient-variance EMA `Trainer._track` reports, not the ascent."""
+    gradient-variance EMA `Trainer._track` reports, not the ascent.
+    The estimator's kind, not a setting, decides whether g trains."""
 
     estimator: EstimatorConfig
     steps: int
@@ -158,7 +162,6 @@ class TrainConfig:
     momentum: float = 0.9
     minibatch: int = 24
     baseline_lr_scale: float = 0.1
-    freeze_g: bool = False
     variance_decay: float = 0.99
 
     def __post_init__(self):
@@ -186,11 +189,11 @@ class TrainConfig:
 
     def summary(self) -> str:
         return ("estimator=%s steps=%d seed=%d lr=%s momentum=%s minibatch=%d "
-                "baseline_lr_scale=%s freeze_g=%s variance_decay=%s"
+                "baseline_lr_scale=%s variance_decay=%s"
                 % (self.estimator.label(), self.steps, self.seed,
                    repr(float(self.learning_rate)), repr(float(self.momentum)),
                    self.minibatch, repr(float(self.baseline_lr_scale)),
-                   self.freeze_g, repr(float(self.variance_decay))))
+                   repr(float(self.variance_decay))))
 
 
 def build_toy(widths: tuple[int, ...], obs_dim: int, seed: int,
@@ -399,15 +402,18 @@ class Trainer:
 
     Per step: sample latents, compute R, apply the configured estimator
     layerwise to get inference-net gradients, pathwise gradients for
-    the decoder and prior, regression gradients for b (toward R) and g
-    (toward R - b), all from pre-update parameters; then update
-    everything with momentum SGD (baselines at the scaled rate).
+    the decoder and prior, regression gradients for b (toward R) and,
+    for the kinds that smooth g, g (toward R - b), all from pre-update
+    parameters; then update what was fitted with momentum SGD
+    (baselines at the scaled rate).
     """
 
     def __init__(self, model: SbnModel, qnet: InferenceNet,
                  baselines: SbnBaselines, cfg: TrainConfig):
         self.model, self.qnet, self.baselines, self.cfg = (
             model, qnet, baselines, cfg)
+        # Only the smoothing kinds read a g net, so only they fit one.
+        self._train_g = bool(_smoothing_terms(cfg.estimator))
         # One accumulator over named_parameters, in its order, with a rate
         # per element: the generative model and the inference net ascend;
         # the baseline nets descend their losses at the scaled rate, that
@@ -415,7 +421,7 @@ class Trainer:
         # this matches negated gradients bit for bit).
         named = {name: p for name, p in named_parameters(
                      model, qnet, baselines).items()
-                 if not (cfg.freeze_g and name.startswith("baseline.g"))}
+                 if self._train_g or not name.startswith("baseline.g")}
         self.mom = Momentum(list(named.values()), cfg.momentum)
         self._rates = np.concatenate([
             np.full(p.size, -cfg.learning_rate * cfg.baseline_lr_scale
@@ -447,7 +453,7 @@ class Trainer:
              rng_inner: np.random.Generator, step_index: int = 0):
         """One update on minibatch y; returns (mean ELBO, per-layer
         log-variance of the q parameter gradient EMA)."""
-        cfg, est = self.cfg, self.cfg.estimator
+        est = self.cfg.estimator
         model, baselines = self.model, self.baselines
         B = y.shape[0]
         L = len(model.widths)
@@ -475,7 +481,7 @@ class Trainer:
 
         # baseline regressions (targets use pre-update values)
         grads.extend(baselines.b.backward(b_cache, (b_val - R) / B))
-        if not cfg.freeze_g:
+        if self._train_g:
             target = R - b_val
             for li in range(L):
                 g_val, g_cache = draw.g_forward(li)
@@ -659,6 +665,10 @@ def bars_dataset(count: int, seed: int, size: int = 6,
     """Synthetic bar patterns: each of `size` row bars and `size` column
     bars is present independently with probability p_bar; a cell is on
     if its row or column bar is.  Returns (count, size*size) of -1/+1."""
+    _check_count("count", count, 1)
+    _check_count("size", size, 1)
+    if not 0.0 <= p_bar <= 1.0:
+        raise ValueError("p_bar must lie in [0, 1]")
     rng = stream(seed)
     bars = rng.random((count, 2 * size)) < p_bar
     rows = bars[:, :size]

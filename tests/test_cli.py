@@ -277,8 +277,8 @@ def test_variance_decay_is_the_trainers_alone(tmp_path, capsys):
     metrics, half = metrics.splitlines(), half.splitlines()
     assert "variance_decay=0.99" in metrics[0]
     assert "variance_decay=0.5" in half[0]
-    assert metrics[1].endswith(" freeze_g=False variance_decay=0.99")
-    assert half[1].endswith(" freeze_g=False variance_decay=0.5")
+    assert metrics[1].endswith(" baseline_lr_scale=0.1 variance_decay=0.99")
+    assert half[1].endswith(" baseline_lr_scale=0.1 variance_decay=0.5")
     assert metrics[2] == half[2] == "step,elbo,log_var_layer1,log_var_layer2"
     rows = [row.split(",") for row in metrics[3:]]
     half_rows = [row.split(",") for row in half[3:]]
@@ -365,9 +365,11 @@ def test_selftest_rerun_byte_identical(tmp_path, capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     # transform draws nothing and train takes its width from the data,
-    # so neither has a seed or obs_width setting
+    # so neither has a seed or obs_width setting; the estimator's kind,
+    # not a key, decides whether train fits the g nets
     for cmd, key, value in (("bench", "steps", 10), ("transform", "seed", 0),
-                            ("train", "obs_width", 36)):
+                            ("train", "obs_width", 36),
+                            ("train", "freeze_g", True)):
         cfgp = tmp_path / "bad.json"
         cfgp.write_text(json.dumps({key: value}))
         code, out = run(capsys, cmd, "--config", str(cfgp),

@@ -21,6 +21,7 @@ from boolcube import (
     SbnModel,
     SubsetIndex,
     TrainConfig,
+    bars_dataset,
     benchmark_variance,
     check_trials,
     coefficient_mc,
@@ -631,6 +632,10 @@ REFUSALS = [
     ("index_to_point", "dimension", lambda: index_to_point(0, 0),
      "dimension 0 lies outside the supported range [1, 16]"),
     ("point_to_index", "value", lambda: point_to_index([1, 0, 1]), VALUE),
+    ("point_to_index", "dimension-17", lambda: point_to_index([1] * 17),
+     "dimension 17 lies outside the supported range [1, 16]"),
+    ("point_to_index", "dimension-64", lambda: point_to_index([1] * 64),
+     "dimension 64 lies outside the supported range [1, 16]"),
     ("correlated_sample", "width",
      lambda: correlated_sample(X3, 0.5, D1, fresh_rng()), WIDTH_D1),
     ("correlated_sample", "value",
@@ -760,6 +765,14 @@ SETTINGS = [
     ("t_rho_samples-bool", lambda: cfg_t(True),
      "t_rho_samples must be an integer"),
     ("t_rho_samples-zero", lambda: cfg_t(0), "t_rho_samples must be at least 1"),
+    ("exact_inner-text",
+     lambda: EstimatorConfig("combined", exact_inner="false"),
+     "exact_inner must be a bool, got 'false'"),
+    ("exact_inner-int", lambda: EstimatorConfig("combined", exact_inner=1),
+     "exact_inner must be a bool, got 1"),
+    ("taylor_at_sample-text",
+     lambda: EstimatorConfig("combined", taylor_at_sample="no"),
+     "taylor_at_sample must be a bool, got 'no'"),
     ("steps-float", lambda: cfg_train(steps=1.5),
      "steps and minibatch must be integers"),
     ("minibatch-float", lambda: cfg_train(minibatch=2.0),
@@ -872,6 +885,16 @@ SETTINGS = [
     ("TrainConfig-variance_decay-nan",
      lambda: cfg_train(variance_decay=np.nan),
      "variance_decay must lie in [0, 1)"),
+    ("bars_dataset-count-negative", lambda: bars_dataset(-1, 0),
+     "count must be at least 1"),
+    ("bars_dataset-count-float", lambda: bars_dataset(2.5, 0),
+     "count must be an integer"),
+    ("bars_dataset-size-zero", lambda: bars_dataset(3, 0, size=0),
+     "size must be at least 1"),
+    ("bars_dataset-p_bar-above", lambda: bars_dataset(3, 0, p_bar=2.0),
+     "p_bar must lie in [0, 1]"),
+    ("bars_dataset-p_bar-nan", lambda: bars_dataset(3, 0, p_bar=np.nan),
+     "p_bar must lie in [0, 1]"),
     ("SbnModel-width-float", lambda: SbnModel((2.7,), 6, fresh_rng()),
      "widths and obs_dim must be integers"),
     ("SbnModel-obs_dim-float", lambda: SbnModel((2,), 6.0, fresh_rng()),
@@ -916,3 +939,8 @@ def test_numpy_integer_counts_are_accepted():
     assert cfg_train(seed=np.int64(3)).seed == 3
     assert SbnModel((np.int64(2),), np.int32(6), fresh_rng()).widths == (2,)
     assert BooleanFunction(np.int64(2), table=np.ones(4)).n == 2
+    # numpy's bool is a bool for EstimatorConfig's flags
+    flags = dict(exact_inner=np.bool_(True), taylor_at_sample=np.bool_(True))
+    assert (EstimatorConfig("combined", **flags).label()
+            == EstimatorConfig("combined", exact_inner=True,
+                               taylor_at_sample=True).label())

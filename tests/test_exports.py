@@ -1,9 +1,10 @@
 """Export lists: every listed name exists, the package re-exports each
 module's list, removed names stay gone, every imported name is used,
-every private module-level name is read, and every public callable that
-takes a distribution has a refusal row."""
+every private module-level name is read, every config field is read,
+and every public callable that takes a distribution has a refusal row."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -114,11 +115,15 @@ def module_level_private_names(tree):
                 yield name, node.lineno
 
 
+def library_trees():
+    return {path.name: ast.parse(path.read_text())
+            for path, _, _ in source_files() if path.parent.name == "boolcube"}
+
+
 def test_every_private_module_level_name_is_read():
     # a private helper or constant no code in src/boolcube reads is left
     # over from a removed path; reads by tests alone do not count
-    trees = {path.name: ast.parse(path.read_text())
-             for path, _, _ in source_files() if path.parent.name == "boolcube"}
+    trees = library_trees()
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -130,6 +135,23 @@ def test_every_private_module_level_name_is_read():
               for name, line in module_level_private_names(tree)
               if name not in read]
     assert not unread, unread
+
+
+def test_every_config_field_is_read():
+    # a field of EstimatorConfig or TrainConfig that no code in
+    # src/boolcube reads as an attribute, outside the class's own body
+    # (its checks and its text), is an option that does nothing
+    trees = library_trees().values()
+    for cls in (boolcube.EstimatorConfig, boolcube.TrainConfig):
+        own = {id(node) for tree in trees for body in ast.walk(tree)
+               if isinstance(body, ast.ClassDef) and body.name == cls.__name__
+               for node in ast.walk(body)}
+        read = {node.attr for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load) and id(node) not in own}
+        unread = [f.name for f in dataclasses.fields(cls)
+                  if f.name not in read]
+        assert not unread, (cls.__name__, unread)
 
 
 # Public callables with a `dist` parameter that pair it with nothing a

@@ -420,10 +420,10 @@ def test_online_track_equals_batch_track(monkeypatch):
 # ---------------------------------------------------------------------------
 # Training loop.
 
-def tiny_cfg(kind, steps=40, seed=60, freeze_g=False, lr=0.02):
+def tiny_cfg(kind, steps=40, seed=60, lr=0.02):
     return TrainConfig(estimator=EstimatorConfig(kind, rho=0.5),
                        steps=steps, seed=seed, learning_rate=lr,
-                       minibatch=4, freeze_g=freeze_g)
+                       minibatch=4)
 
 
 def test_train_deterministic():
@@ -438,14 +438,17 @@ def test_train_deterministic():
     assert runs[0] == runs[1]
 
 
-def reference_train(model, qnet, baselines, data, cfg):
+def reference_train(model, qnet, baselines, data, cfg,
+                    before_step=lambda: None):
     """The training loop with a fresh stream(seed, a, t) per step and
-    stream(seed, 3, epoch) per epoch: (ELBO, log-variance) per step."""
+    stream(seed, 3, epoch) per epoch, calling before_step() ahead of
+    each step: (ELBO, log-variance) per step."""
     N, B = data.shape[0], cfg.minibatch
     per_epoch = N // B
     trainer = Trainer(model, qnet, baselines, cfg)
     elbo, logvar = [], []
     for t in range(cfg.steps):
+        before_step()
         k = t % per_epoch
         if k == 0:
             perm = stream(cfg.seed, 3, t // per_epoch).permutation(N)
@@ -519,19 +522,32 @@ def test_train_refuses_a_minibatch_larger_than_the_data():
 
 
 def test_frozen_zero_g_reproduces_reinforce():
-    # with g identically zero and frozen, the smoothing variate vanishes
+    # with g set to zero before every step, the smoothing variate vanishes
     # and the fourier_cv trajectory must match plain reinforce exactly
     data = bars_dataset(16, seed=7)
     traces = {}
     for kind in ("reinforce", "fourier_cv"):
         model, qnet, baselines = build_toy((5,), 36, seed=63,
                                            baseline_hidden=8, g_hidden=8)
-        for g in baselines.g:
-            g.zero_()
-        res = train(model, qnet, baselines, data,
-                    tiny_cfg(kind, steps=30, freeze_g=True))
-        traces[kind] = res.elbo
+        traces[kind], _ = reference_train(
+            model, qnet, baselines, data, tiny_cfg(kind, steps=30),
+            before_step=lambda: [g.zero_() for g in baselines.g])
     assert np.array_equal(traces["reinforce"], traces["fourier_cv"])
+
+
+SMOOTHING_KINDS = ("fourier_cv", "fourier_cv_alt", "combined")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_the_smoothing_kinds_fit_the_g_nets(kind):
+    # the other kinds never read g, so training leaves their g nets at
+    # build_toy's values; every other parameter moves for every kind
+    nets = build_toy((3, 2), 36, seed=64, baseline_hidden=8, g_hidden=8)
+    before = {k: v.copy() for k, v in named_parameters(*nets).items()}
+    train(*nets, bars_dataset(8, seed=7), tiny_cfg(kind, steps=5))
+    for k, v in named_parameters(*nets).items():
+        kept = k.startswith("baseline.g") and kind not in SMOOTHING_KINDS
+        assert np.array_equal(v, before[k]) == kept, k
 
 
 def test_training_diverged_carries_step():
@@ -545,8 +561,8 @@ def test_training_diverged_carries_step():
     assert err.value.step == 0
 
 
-@pytest.mark.parametrize("kind", ["reinforce", "combined"])
-@pytest.mark.parametrize("net", ["b", "g"])
+@pytest.mark.parametrize("net, kind", [("b", "reinforce"), ("b", "combined"),
+                                       ("g", "fourier_cv"), ("g", "combined")])
 def test_non_finite_gradient_stops_before_any_update(net, kind):
     data = bars_dataset(8, seed=7)
     model, qnet, baselines = build_toy((3,), 36, seed=64,
@@ -562,6 +578,29 @@ def test_non_finite_gradient_stops_before_any_update(net, kind):
     assert err.value.step == 0
     for k, v in named.items():
         assert np.array_equal(v, before[k], equal_nan=True), k
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k not in SMOOTHING_KINDS])
+def test_nan_in_an_unread_g_net_neither_stops_training_nor_is_touched(kind):
+    # the trainer never fits g for these kinds, so a NaN there is never
+    # read: the run matches a clean one, and the g nets keep their values
+    data = bars_dataset(8, seed=7)
+    runs = []
+    for poison in (False, True):
+        nets = build_toy((3,), 36, seed=64, baseline_hidden=8, g_hidden=8)
+        if poison:
+            nets[2].g[0].layers[0].W[0, 0] = np.nan
+        named = named_parameters(*nets)
+        before = {k: v.copy() for k, v in named.items()}
+        res = train(*nets, data, tiny_cfg(kind, steps=5))
+        runs.append((res.to_csv(), named))
+    (clean_csv, clean), (csv, named) = runs
+    assert csv == clean_csv
+    for k, v in named.items():
+        if k.startswith("baseline.g"):
+            assert np.array_equal(v, before[k], equal_nan=True), k
+        else:
+            assert np.array_equal(v, clean[k]), k
 
 
 def test_train_rejects_minibatch_larger_than_data():
