@@ -29,7 +29,7 @@ and pass them on; the cube front end alone gives their defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -108,8 +108,8 @@ class EstimatorConfig:
                                  % (name, getattr(self, name)))
         if not np.isfinite(self.rho) or not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if self.rho == 0.0 and not all(
-                np.isfinite(slope) for _, slope in _smoothing_terms(self)):
+        _, terms = _kernel_probe(self)
+        if self.rho == 0.0 and not all(np.isfinite(s) for _, s in terms):
             raise ValueError("kind %r divides by rho; rho must be positive"
                              % self.kind)
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
@@ -275,8 +275,8 @@ def _contributions(cfg: EstimatorConfig, x: np.ndarray, p: np.ndarray,
     lin = _linear(x - mu, deriv() if cfg.taylor_at_sample else grad)
     if cfg.kind == "muprop":
         return (fx - value - lin)[:, None] * sc + 2.0 * grad
-    # combined
-    variate = g() - smoothed(cfg.rho) / cfg.rho
+    # combined; at beta = 0 it reads no g
+    variate = g() - smoothed(cfg.rho) / cfg.rho if cfg.beta else 0.0
     t = fx - baseline() - value - cfg.alpha * lin - cfg.beta * variate
     out = t[:, None] * sc
     return out if cfg.taylor_at_sample else out + 2.0 * cfg.alpha * grad
@@ -290,8 +290,10 @@ def _linear(centered: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 @lru_cache
-def _smoothing_terms(cfg: EstimatorConfig) -> tuple[tuple[float, float], ...]:
-    """(rate, slope) of every smoothed value cfg's kind uses, in order.
+def _kernel_probe(cfg: EstimatorConfig):
+    """(parts, terms): the names of the keyword parts of `_contributions`
+    that cfg's kind calls, and the (rate, slope) of every smoothed value
+    it uses, in order, from one run of the kernel on recording parts.
 
     A contribution is affine in each smoothed value, with slope * score
     as its coefficient.  So at x = p = mu = 1 (score 1, x - mu = 0), with
@@ -299,19 +301,25 @@ def _smoothing_terms(cfg: EstimatorConfig) -> tuple[tuple[float, float], ...]:
     j alone is 1; at rho = 0 a kind that divides by rho gives a
     non-finite slope.  No kind uses more than two smoothed values.
     """
+    read: set[str] = set()
     rates: list[float] = []
+    zeros = dict(f=np.zeros(2), g=np.zeros(2), deriv=np.zeros((2, 1)),
+                 taylor=(np.zeros(2), 0.0, np.zeros(1)), baseline=0.0)
+
+    def part(name):
+        read.add(name)
+        return zeros[name]
 
     def smoothed(rho: float) -> np.ndarray:
+        read.add("smoothed")
         rates.append(rho)
         return np.eye(2)[len(rates) - 1]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _contributions(
-            cfg, np.ones((2, 1)), np.ones(1), np.ones(1),
-            f=lambda: np.zeros(2), g=lambda: np.zeros(2), smoothed=smoothed,
-            taylor=lambda: (np.zeros(2), 0.0, np.zeros(1)),
-            deriv=lambda: np.zeros((2, 1)), baseline=lambda: 0.0)
-    return tuple((rho, float(out[j, 0])) for j, rho in enumerate(rates))
+            cfg, np.ones((2, 1)), np.ones(1), np.ones(1), smoothed=smoothed,
+            **{k: partial(part, k) for k in zeros})
+    return frozenset(read), tuple(zip(rates, out[:len(rates), 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +421,7 @@ def variance_by_enumeration(cfg: EstimatorConfig, f: BooleanFunction,
     m = _cube_contributions(cfg, f, dist, pts, g=g, **parts)
     mean = w @ m
     var = w @ (m * m) - mean * mean
-    terms = () if cfg.exact_inner else _smoothing_terms(cfg)
+    terms = () if cfg.exact_inner else _kernel_probe(cfg)[1]
     if terms:
         g2 = BooleanFunction(g.n, table=g.values() ** 2)
         inner = sum(slope ** 2 * np.maximum(

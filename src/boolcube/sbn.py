@@ -15,9 +15,8 @@ logits are network-nonlinear.  First-order kinds expand the terms that
 involve layer l at the conditional mean; smoothing kinds resample the
 layer's g net.  Contributions (units d/dp) convert to logit gradients
 via sigma'(t), then to parameter gradients.  Decoder and prior are
-updated pathwise; the b net by regression for every kind, and a layer's
-g net by regression only for the smoothing kinds, the only ones that
-read it.
+updated pathwise, and the b and g nets by regression where the kind
+reads them (see `Trainer`).
 
 The exact oracles of a single-layer model (enumerate_elbo,
 expected_q_logit_gradient) run the step's own code on one draw whose
@@ -41,8 +40,7 @@ import numpy as np
 
 from .cube import (MAX_N, PROB_FLOOR, ProductDistribution, _check_count,
                    _is_integer, enumerate_points, weights)
-from .estimators import (EstimatorConfig, _contributions, _score,
-                         _smoothing_terms)
+from .estimators import EstimatorConfig, _contributions, _kernel_probe, _score
 from .fourier import BooleanFunction
 from .nets import (
     MLP,
@@ -65,7 +63,6 @@ __all__ = [
     "TrainResult",
     "TrainingDiverged",
     "build_toy",
-    "elbo_sample",
     "Trainer",
     "train",
     "exact_log_likelihood",
@@ -153,7 +150,7 @@ class SbnBaselines:
 class TrainConfig:
     """Every trainer setting, owned here alone.  variance_decay decays the
     gradient-variance EMA `Trainer._track` reports, not the ascent.
-    The estimator's kind, not a setting, decides whether g trains."""
+    The estimator, not a setting, decides which of b and g train."""
 
     estimator: EstimatorConfig
     steps: int
@@ -171,8 +168,9 @@ class TrainConfig:
             raise ValueError("steps and minibatch must be integers")
         if self.steps < 1 or self.minibatch < 1:
             raise ValueError("steps and minibatch must be positive")
-        if not (self.learning_rate > 0 and self.baseline_lr_scale > 0):
-            raise ValueError("learning rates must be positive")
+        if not (0.0 < self.learning_rate < math.inf
+                and 0.0 < self.baseline_lr_scale < math.inf):
+            raise ValueError("learning rates must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 <= self.variance_decay < 1.0:
@@ -244,8 +242,8 @@ class _Pieces(NamedTuple):
 
 def _integrand(model: SbnModel, xs: list[np.ndarray], probs: list[np.ndarray],
                y: np.ndarray):
-    """R = log p(y|x) + log p(x) - log q(x|y) per batch row, its three
-    terms, and the pieces they were built from."""
+    """R = log p(y|x) + log p(x) - log q(x|y) per batch row, log q(x|y),
+    and the pieces they were built from."""
     t = [link.forward(x) for link, x in zip(model.links, xs)]
     ll = [bern_ll(target, tj).sum(axis=1)
           for target, tj in zip([y] + xs[:-1], t)]
@@ -257,24 +255,23 @@ def _integrand(model: SbnModel, xs: list[np.ndarray], probs: list[np.ndarray],
     log_1mp = [np.log1p(-p) for p in probs]
     logq = sum(np.where(x > 0, lp, l1p).sum(axis=1)
                for x, lp, l1p in zip(xs, log_p, log_1mp))
-    return (ll[0] + logp - logq, ll[0], logp, logq,
-            _Pieces(t, ll, prior_ll, log_p, log_1mp))
+    return ll[0] + logp - logq, logq, _Pieces(t, ll, prior_ll, log_p, log_1mp)
 
 
 class _Draw:
     """One latent draw (xs, probs, raw) for the batch y and the pieces of
     a step at it, each computed once: the integrand and its pieces at
     construction; the decoder logit gradients, the local oracle at the
-    sample and the g nets' forward passes on first use.  y and the
+    sample and the b and g nets' forward passes on first use.  y and the
     probabilities may be single rows that broadcast against the
-    latents."""
+    latents; b is evaluated on y's own rows, as given."""
 
     def __init__(self, model: SbnModel, qnet: InferenceNet,
                  baselines: SbnBaselines | None, y: np.ndarray, latents):
         self.model, self.qnet, self.baselines, self.y = (
             model, qnet, baselines, y)
         self.xs, self.probs, self.raw = latents
-        self.R, _, _, self.logq, self.pieces = _integrand(
+        self.R, self.logq, self.pieces = _integrand(
             model, self.xs, self.probs, y)
         self._memo: dict = {}
 
@@ -288,6 +285,10 @@ class _Draw:
         target = self.y if j == 0 else self.xs[j - 1]
         return self._once(("dt", j), lambda: bern_ll_grad_t(
             target, self.pieces.t[j]))
+
+    def b_forward(self):
+        """The b net at the observation rows y: (values, backward cache)."""
+        return self._once("b", lambda: self.baselines.b.forward(self.y))
 
     def g_forward(self, li: int):
         """Layer li's g net at the sample: (values, backward cache)."""
@@ -348,9 +349,9 @@ class _Draw:
 
 
 def _layer_contributions(est: EstimatorConfig, draw: _Draw, li: int,
-                         baseline, smoothed) -> np.ndarray:
+                         smoothed) -> np.ndarray:
     """Per-unit estimator contributions (units d/dp) for layer li, with
-    baseline() the b value and smoothed(rho) the smoothed g at each row."""
+    smoothed(rho) the smoothed g at each row."""
     x, p = draw.xs[li], draw.probs[li]
     mu = 2.0 * p - 1.0
 
@@ -363,35 +364,22 @@ def _layer_contributions(est: EstimatorConfig, draw: _Draw, li: int,
     return _contributions(
         est, x, p, mu, f=lambda: draw.R, g=lambda: draw.g_forward(li)[0],
         smoothed=smoothed, taylor=first_order,
-        deriv=lambda: draw.local_at_sample(li)[1], baseline=baseline)
+        deriv=lambda: draw.local_at_sample(li)[1],
+        baseline=lambda: draw.b_forward()[0])
 
 
 def _q_logit_rows(est: EstimatorConfig, draw: _Draw, li: int,
-                  baseline, rng_inner: np.random.Generator):
+                  rng_inner: np.random.Generator):
     """A training step's per-row gradients in layer li's q logits: the
     layer's contributions, with the smoothed g from k resampled draws
     per row, times sigma'(t); the resampled sign bits become -1/+1 rows
     for the g net."""
     contrib = _layer_contributions(
-        est, draw, li, baseline, lambda rho: _smoothed_mc(
+        est, draw, li, lambda rho: _smoothed_mc(
             lambda bits: draw.baselines.g[li].value(np.where(bits, 1.0, -1.0)),
             draw.xs[li], draw.probs[li], rho, est.t_rho_samples, rng_inner))
     s = draw.raw[li]
     return contrib * s * (1.0 - s)
-
-
-def elbo_sample(model: SbnModel, qnet: InferenceNet, y: np.ndarray,
-                rng: np.random.Generator) -> dict:
-    """Single-sample lower bound for one observation y in {-1,+1}^obs."""
-    y = np.asarray(y, dtype=np.float64)[None, :]
-    xs, probs, _ = _sample_latents(model, qnet, y, rng)
-    R, loglik, logp, logq, _ = _integrand(model, xs, probs, y)
-    return {
-        "elbo": float(R[0]),
-        "latents": [x[0].copy() for x in xs],
-        "terms": {"log_lik": float(loglik[0]), "log_prior": float(logp[0]),
-                  "log_q": float(logq[0])},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -402,26 +390,29 @@ class Trainer:
 
     Per step: sample latents, compute R, apply the configured estimator
     layerwise to get inference-net gradients, pathwise gradients for
-    the decoder and prior, regression gradients for b (toward R) and,
-    for the kinds that smooth g, g (toward R - b), all from pre-update
-    parameters; then update what was fitted with momentum SGD
-    (baselines at the scaled rate).
+    the decoder and prior, and regression gradients for g (toward R - b)
+    where the kernel's probe says the kind reads g, and for b (toward R)
+    where it reads b or fits g, all from pre-update parameters; then
+    update what was fitted by momentum SGD, baselines at the scaled rate.
     """
 
     def __init__(self, model: SbnModel, qnet: InferenceNet,
                  baselines: SbnBaselines, cfg: TrainConfig):
         self.model, self.qnet, self.baselines, self.cfg = (
             model, qnet, baselines, cfg)
-        # Only the smoothing kinds read a g net, so only they fit one.
-        self._train_g = bool(_smoothing_terms(cfg.estimator))
-        # One accumulator over named_parameters, in its order, with a rate
-        # per element: the generative model and the inference net ascend;
-        # the baseline nets descend their losses at the scaled rate, that
-        # is ascend at its negative (momentum is odd in the gradient, so
-        # this matches negated gradients bit for bit).
+        reads, _ = _kernel_probe(cfg.estimator)
+        self._fit_g = "g" in reads or "smoothed" in reads
+        self._fit_b = self._fit_g or "baseline" in reads
+        # One accumulator over the fitted named_parameters, a rate per
+        # element: the model and the q net ascend; the baseline nets descend
+        # their losses at the scaled rate, that is ascend at its negative,
+        # which momentum, odd in the gradient, makes bit-identical.
+        unfitted = tuple(prefix for prefix, fit in (
+            ("baseline.b", self._fit_b), ("baseline.g", self._fit_g))
+            if not fit)
         named = {name: p for name, p in named_parameters(
                      model, qnet, baselines).items()
-                 if self._train_g or not name.startswith("baseline.g")}
+                 if not name.startswith(unfitted)}
         self.mom = Momentum(list(named.values()), cfg.momentum)
         self._rates = np.concatenate([
             np.full(p.size, -cfg.learning_rate * cfg.baseline_lr_scale
@@ -462,7 +453,6 @@ class Trainer:
         xs, R = draw.xs, draw.R
         if not np.all(np.isfinite(R)):
             raise TrainingDiverged(step_index, "ELBO")
-        b_val, b_cache = baselines.b.forward(y)
 
         # Gradients in named_parameters order.  Prior and decoder, pathwise.
         grads = [bern_ll_grad_t(xs[-1], model.prior).sum(axis=0) / B]
@@ -473,16 +463,18 @@ class Trainer:
         # inference net, via the configured estimator
         logvars: list[float] = []
         for li in range(L):
-            grad_t = _q_logit_rows(est, draw, li, lambda: b_val, rng_inner)
+            grad_t = _q_logit_rows(est, draw, li, rng_inner)
             inp = y if li == 0 else xs[li - 1]
             gW, gb = (g / B for g in self.qnet.links[li].grads(inp, grad_t))
             grads.extend([gW, gb])
             logvars.append(self._track(li, np.concatenate([gW.ravel(), gb])))
 
         # baseline regressions (targets use pre-update values)
-        grads.extend(baselines.b.backward(b_cache, (b_val - R) / B))
-        if self._train_g:
-            target = R - b_val
+        if self._fit_b:
+            b_val, b_cache = draw.b_forward()
+            grads.extend(baselines.b.backward(b_cache, (b_val - R) / B))
+        if self._fit_g:
+            target = R - draw.b_forward()[0]
             for li in range(L):
                 g_val, g_cache = draw.g_forward(li)
                 grads.extend(baselines.g[li].backward(
@@ -634,8 +626,7 @@ def expected_q_logit_gradient(model: SbnModel, qnet: InferenceNet,
         g = BooleanFunction(dist.n, table=draw.g_forward(0)[0])
         return noise_exact(g, rho, dist).values()
 
-    m = _layer_contributions(est, draw, 0,
-                             lambda: baselines.b.value(draw.y), smoothed)
+    m = _layer_contributions(est, draw, 0, smoothed)
     raw = draw.raw[0][0]
     return (weights(dist) @ m) * raw * (1.0 - raw)
 
@@ -653,8 +644,7 @@ def sample_q_logit_gradients(model: SbnModel, qnet: InferenceNet,
     y_tiled = np.tile(np.asarray(y, dtype=np.float64), (samples, 1))
     draw = _Draw(model, qnet, baselines, y_tiled,
                  _sample_latents(model, qnet, y_tiled, stream(seed, 1, 0)))
-    return _q_logit_rows(est, draw, 0, lambda: baselines.b.value(y_tiled),
-                         stream(seed, 2, 0))
+    return _q_logit_rows(est, draw, 0, stream(seed, 2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -778,9 +778,13 @@ SETTINGS = [
     ("minibatch-float", lambda: cfg_train(minibatch=2.0),
      "steps and minibatch must be integers"),
     ("learning_rate-nan", lambda: cfg_train(learning_rate=np.nan),
-     "learning rates must be positive"),
+     "learning rates must be positive and finite"),
     ("baseline_lr_scale-nan", lambda: cfg_train(baseline_lr_scale=np.nan),
-     "learning rates must be positive"),
+     "learning rates must be positive and finite"),
+    ("learning_rate-inf", lambda: cfg_train(learning_rate=np.inf),
+     "learning rates must be positive and finite"),
+    ("baseline_lr_scale-inf", lambda: cfg_train(baseline_lr_scale=np.inf),
+     "learning rates must be positive and finite"),
     ("check_trials-float", lambda: check_trials(2.5),
      "trials must be an integer"),
     ("benchmark_variance-trials-float",

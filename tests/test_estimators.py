@@ -367,6 +367,20 @@ def test_combined_alpha_one_beta_zero_is_muprop():
         assert np.max(np.abs(a - b)) < 1e-13
 
 
+def test_combined_at_beta_zero_reads_no_g():
+    # at beta = 0 the kernel skips the variate, so neither g nor rho, which
+    # the variate divides by, changes a contribution, and rho = 0 is valid
+    rng = stream(17)
+    f, g = random_function(3, rng), random_function(3, rng)
+    dist = random_dist(3, rng)
+    want = variance_by_enumeration(EstimatorConfig("combined", beta=0.0),
+                                   f, dist)
+    for rho in (0.0, 0.5):
+        cfg = EstimatorConfig("combined", beta=0.0, rho=rho)
+        assert np.array_equal(variance_by_enumeration(cfg, f, dist, g=g),
+                              want)
+
+
 def test_combined_taylor_at_sample_defaults_to_own_derivative():
     # without a derivative oracle the linear term reads f's own tables,
     # as in every batched front end

@@ -1,7 +1,8 @@
 """Export lists: every listed name exists, the package re-exports each
 module's list, removed names stay gone, every imported name is used,
 every private module-level name is read, every config field is read,
-and every public callable that takes a distribution has a refusal row."""
+every keyword part of the estimator kernel is read by some kind, and
+every public callable that takes a distribution has a refusal row."""
 
 import ast
 import dataclasses
@@ -152,6 +153,18 @@ def test_every_config_field_is_read():
         unread = [f.name for f in dataclasses.fields(cls)
                   if f.name not in read]
         assert not unread, (cls.__name__, unread)
+
+
+def test_every_kernel_part_is_read_by_some_kind():
+    # a keyword part of the estimator kernel that no kind calls, in any
+    # form, is a part nothing reads
+    est = boolcube.estimators
+    params = {name for name, p in inspect.signature(
+                  est._contributions).parameters.items()
+              if p.kind is p.KEYWORD_ONLY}
+    cfgs = [est.EstimatorConfig(kind) for kind in est.KINDS]
+    cfgs.append(est.EstimatorConfig("combined", taylor_at_sample=True))
+    assert set().union(*(est._kernel_probe(c)[0] for c in cfgs)) == params
 
 
 # Public callables with a `dist` parameter that pair it with nothing a

@@ -13,7 +13,6 @@ from boolcube import (
     TrainingDiverged,
     bars_dataset,
     build_toy,
-    elbo_sample,
     enumerate_elbo,
     exact_log_likelihood,
     expected_q_logit_gradient,
@@ -59,17 +58,24 @@ def probe_observation():
 # ---------------------------------------------------------------------------
 # ELBO sample and integrand.
 
+def sampled_draw(model, qnet, y, rng, rows=1):
+    """A training step's draw for `rows` copies of the observation y."""
+    y = np.tile(y, (rows, 1))
+    return _Draw(model, qnet, None, y, _sample_latents(model, qnet, y, rng))
+
+
 def test_elbo_sample_deterministic_and_consistent():
     model, qnet, _ = toy_probe()
     y = probe_observation()
-    a = elbo_sample(model, qnet, y, stream(50))
-    b = elbo_sample(model, qnet, y, stream(50))
-    assert a["elbo"] == b["elbo"]
-    assert all(np.array_equal(u, v) for u, v in zip(a["latents"], b["latents"]))
-    t = a["terms"]
-    assert a["elbo"] == pytest.approx(
-        t["log_lik"] + t["log_prior"] - t["log_q"], abs=1e-12)
-    assert set(np.unique(a["latents"][0])) <= {-1.0, 1.0}
+    a = sampled_draw(model, qnet, y, stream(50))
+    b = sampled_draw(model, qnet, y, stream(50))
+    assert np.array_equal(a.R, b.R)
+    assert all(np.array_equal(u, v) for u, v in zip(a.xs, b.xs))
+    # R = log-lik + log-prior - log q for the one layer of the probe model
+    pc = a.pieces
+    assert a.R[0] == pytest.approx(
+        pc.ll[0][0] + pc.prior_ll[0] - a.logq[0], abs=1e-12)
+    assert set(np.unique(a.xs[0])) <= {-1.0, 1.0}
 
 
 def test_matched_one_unit_model_elbo_equals_evidence():
@@ -84,7 +90,7 @@ def test_matched_one_unit_model_elbo_equals_evidence():
     y = np.array([1.0, -1.0])
     want = exact_log_likelihood(model, y)
     for seed in range(5):
-        got = elbo_sample(model, qnet, y, stream(seed))["elbo"]
+        got = sampled_draw(model, qnet, y, stream(seed)).R[0]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -102,9 +108,7 @@ def test_sampled_elbo_matches_enumerated():
     model, qnet, _ = toy_probe()
     y = probe_observation()
     want, _ = enumerate_elbo(model, qnet, y)
-    rng = stream(51)
-    draws = np.array([elbo_sample(model, qnet, y, rng)["elbo"]
-                      for _ in range(4000)])
+    draws = sampled_draw(model, qnet, y, stream(51), rows=4000).R
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - want) < 4.0 * se
 
@@ -420,8 +424,8 @@ def test_online_track_equals_batch_track(monkeypatch):
 # ---------------------------------------------------------------------------
 # Training loop.
 
-def tiny_cfg(kind, steps=40, seed=60, lr=0.02):
-    return TrainConfig(estimator=EstimatorConfig(kind, rho=0.5),
+def tiny_cfg(kind, steps=40, seed=60, lr=0.02, beta=1.0):
+    return TrainConfig(estimator=EstimatorConfig(kind, rho=0.5, beta=beta),
                        steps=steps, seed=seed, learning_rate=lr,
                        minibatch=4)
 
@@ -538,15 +542,32 @@ def test_frozen_zero_g_reproduces_reinforce():
 SMOOTHING_KINDS = ("fourier_cv", "fourier_cv_alt", "combined")
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_only_the_smoothing_kinds_fit_the_g_nets(kind):
-    # the other kinds never read g, so training leaves their g nets at
-    # build_toy's values; every other parameter moves for every kind
+# The baseline nets each kind fits, written out by hand: g where the
+# kind smooths g, which combined does only at beta != 0; b where the kind
+# subtracts b or fits g, whose target R - b reads b.
+FITTED = [
+    pytest.param("reinforce", 1.0, "", id="reinforce"),
+    pytest.param("reinforce_const_baseline", 1.0, "b",
+                 id="reinforce_const_baseline"),
+    pytest.param("straight_through", 1.0, "", id="straight_through"),
+    pytest.param("muprop", 1.0, "", id="muprop"),
+    pytest.param("fourier_cv", 1.0, "bg", id="fourier_cv"),
+    pytest.param("fourier_cv_alt", 1.0, "bg", id="fourier_cv_alt"),
+    pytest.param("combined", 1.0, "bg", id="combined"),
+    pytest.param("combined", 0.0, "b", id="combined-beta0"),
+]
+
+
+@pytest.mark.parametrize("kind, beta, fitted", FITTED)
+def test_only_the_smoothing_kinds_fit_the_g_nets(kind, beta, fitted):
+    # training leaves the baseline nets a kind never reads at build_toy's
+    # values; every other parameter moves
     nets = build_toy((3, 2), 36, seed=64, baseline_hidden=8, g_hidden=8)
     before = {k: v.copy() for k, v in named_parameters(*nets).items()}
-    train(*nets, bars_dataset(8, seed=7), tiny_cfg(kind, steps=5))
+    train(*nets, bars_dataset(8, seed=7), tiny_cfg(kind, steps=5, beta=beta))
     for k, v in named_parameters(*nets).items():
-        kept = k.startswith("baseline.g") and kind not in SMOOTHING_KINDS
+        kept = (k.startswith("baseline.")
+                and k[len("baseline.")] not in fitted)
         assert np.array_equal(v, before[k]) == kept, k
 
 
@@ -561,7 +582,8 @@ def test_training_diverged_carries_step():
     assert err.value.step == 0
 
 
-@pytest.mark.parametrize("net, kind", [("b", "reinforce"), ("b", "combined"),
+@pytest.mark.parametrize("net, kind", [("b", "reinforce_const_baseline"),
+                                       ("b", "combined"),
                                        ("g", "fourier_cv"), ("g", "combined")])
 def test_non_finite_gradient_stops_before_any_update(net, kind):
     data = bars_dataset(8, seed=7)
@@ -580,24 +602,37 @@ def test_non_finite_gradient_stops_before_any_update(net, kind):
         assert np.array_equal(v, before[k], equal_nan=True), k
 
 
-@pytest.mark.parametrize("kind", [k for k in KINDS if k not in SMOOTHING_KINDS])
-def test_nan_in_an_unread_g_net_neither_stops_training_nor_is_touched(kind):
-    # the trainer never fits g for these kinds, so a NaN there is never
-    # read: the run matches a clean one, and the g nets keep their values
+# (net, kind, beta) where the kind reads neither the net nor anything
+# fitted from it; the g cases of the four kinds that do not smooth keep
+# the kind as their id.
+UNREAD = ([pytest.param("g", kind, 1.0, id=kind)
+           for kind in KINDS if kind not in SMOOTHING_KINDS]
+          + [pytest.param("b", kind, 1.0, id="b-" + kind)
+             for kind in ("reinforce", "straight_through", "muprop")]
+          + [pytest.param("g", "combined", 0.0, id="g-combined-beta0")])
+
+
+@pytest.mark.parametrize("net, kind, beta", UNREAD)
+def test_nan_in_an_unread_g_net_neither_stops_training_nor_is_touched(
+        net, kind, beta):
+    # the trainer neither evaluates nor fits a net its kind never reads,
+    # so a NaN there is never read: the run matches a clean one, and the
+    # poisoned net keeps its values
     data = bars_dataset(8, seed=7)
     runs = []
     for poison in (False, True):
         nets = build_toy((3,), 36, seed=64, baseline_hidden=8, g_hidden=8)
         if poison:
-            nets[2].g[0].layers[0].W[0, 0] = np.nan
+            mlp = nets[2].b if net == "b" else nets[2].g[0]
+            mlp.layers[0].W[0, 0] = np.nan
         named = named_parameters(*nets)
         before = {k: v.copy() for k, v in named.items()}
-        res = train(*nets, data, tiny_cfg(kind, steps=5))
+        res = train(*nets, data, tiny_cfg(kind, steps=5, beta=beta))
         runs.append((res.to_csv(), named))
     (clean_csv, clean), (csv, named) = runs
     assert csv == clean_csv
     for k, v in named.items():
-        if k.startswith("baseline.g"):
+        if k.startswith("baseline." + net):
             assert np.array_equal(v, before[k], equal_nan=True), k
         else:
             assert np.array_equal(v, clean[k]), k
