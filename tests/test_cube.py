@@ -49,6 +49,7 @@ from boolcube import (
     phi_set,
     point,
     point_to_index,
+    points_to_indices,
     rho_bound,
     sample,
     score,
@@ -596,6 +597,7 @@ def test_no_warning_for_interior_probs():
 # with a `dist` parameter.
 
 F3 = parse_function("maj(3)").build()
+F2 = BooleanFunction(2, table=np.ones(4))
 E3 = transform(F3, ProductDistribution.uniform(3))
 D1, D2, D3 = (ProductDistribution.uniform(n) for n in (1, 2, 3))
 X2, X3 = [1, -1], [1, -1, 1]
@@ -604,6 +606,7 @@ CFG = EstimatorConfig("combined")
 PAIR_F = "distribution dimension 2 != function dimension 3"
 PAIR_E = "distribution dimension 2 != expansion dimension 3"
 WIDTH_F = "points have 2 coordinates, the function 3"
+WIDTH_G = "points have 3 coordinates, the function 2"
 WIDTH_D3 = "points have 2 coordinates, the distribution 3"
 WIDTH_D1 = "points have 3 coordinates, the distribution 1"
 VALUE = "point coordinates must be exactly -1 or +1"
@@ -636,6 +639,20 @@ REFUSALS = [
      "dimension 17 lies outside the supported range [1, 16]"),
     ("point_to_index", "dimension-64", lambda: point_to_index([1] * 64),
      "dimension 64 lies outside the supported range [1, 16]"),
+    ("points_to_indices", "dimension-0",
+     lambda: points_to_indices(np.ones((2, 0))),
+     "dimension 0 lies outside the supported range [1, 16]"),
+    ("points_to_indices", "dimension-17",
+     lambda: points_to_indices(np.ones((2, 17))),
+     "dimension 17 lies outside the supported range [1, 16]"),
+    ("points_to_indices", "dimension-63",
+     lambda: points_to_indices(np.ones((2, 63))),
+     "dimension 63 lies outside the supported range [1, 16]"),
+    ("points_to_indices", "dimension-64",
+     lambda: points_to_indices(np.ones((2, 64), dtype=np.int8)),
+     "dimension 64 lies outside the supported range [1, 16]"),
+    ("points_to_indices", "dimension-70", lambda: points_to_indices([1] * 70),
+     "dimension 70 lies outside the supported range [1, 16]"),
     ("correlated_sample", "width",
      lambda: correlated_sample(X3, 0.5, D1, fresh_rng()), WIDTH_D1),
     ("correlated_sample", "value",
@@ -692,6 +709,10 @@ REFUSALS = [
     ("contribution", "width", lambda: contribution(CFG, F3, X2, D3), WIDTH_D3),
     ("contribution", "value", lambda: contribution(CFG, F3, [1, 0, 1], D3),
      VALUE),
+    ("contribution", "g-width",
+     lambda: contribution(CFG, F3, X3, D3, g=F2), WIDTH_G),
+    ("expected_value_by_enumeration", "g-width",
+     lambda: expected_value_by_enumeration(CFG, F3, D3, g=F2), WIDTH_G),
     ("expected_value_by_enumeration", "dimension",
      lambda: expected_value_by_enumeration(CFG, F3, D2), PAIR_F),
     ("variance_by_enumeration", "dimension",
